@@ -228,6 +228,19 @@ impl Flattener {
         &self.skeleton
     }
 
+    /// The graph spliced in for cluster `position` of axis `axis` (positions
+    /// follow the axis's cluster order in [`space`](Self::space)), with every
+    /// node name already prefixed `"{interface}/{cluster}/"`. A flat graph is
+    /// the skeleton followed by one such graph per axis, in axis order, so
+    /// its processes can be derived block by block without flattening.
+    pub fn cluster_graph(&self, axis: usize, position: usize) -> Option<&SpiGraph> {
+        self.plans
+            .get(axis)?
+            .clusters
+            .get(position)
+            .map(|plan| &plan.renamed)
+    }
+
     /// Flattens one combination into a fresh graph.
     ///
     /// # Errors
@@ -409,6 +422,17 @@ impl<'a> DeltaFlattener<'a> {
     /// The current flat graph, if a combination is primed.
     pub fn graph(&self) -> Option<&SpiGraph> {
         self.primed.then_some(&self.graph)
+    }
+
+    /// The cluster position spliced per axis (axis order, as
+    /// [`Flattener::cluster_graph`] numbers them) when a combination is
+    /// primed; empty otherwise.
+    pub fn digits(&self) -> &[u32] {
+        if self.primed {
+            &self.digits
+        } else {
+            &[]
+        }
     }
 
     /// Drops the primed state: the next flatten rebuilds from the skeleton.
@@ -680,6 +704,32 @@ mod tests {
             delta.flatten_gray_rank(flattener.space().count()),
             Err(VariantError::UnknownName(_))
         ));
+    }
+
+    #[test]
+    fn digits_and_cluster_graphs_describe_the_flat_graph() {
+        let system = figure2_like_system();
+        let flattener = Flattener::new(&system).unwrap();
+        let mut delta = DeltaFlattener::new(&flattener);
+        assert!(delta.digits().is_empty());
+        for rank in 0..flattener.space().count() {
+            let (index, graph) = delta.flatten_gray_rank(rank).unwrap();
+            let names: Vec<String> = graph.processes().map(|p| p.name().to_string()).collect();
+            let mut expected: Vec<String> = flattener
+                .skeleton()
+                .processes()
+                .map(|p| p.name().to_string())
+                .collect();
+            let mut digits = Vec::new();
+            assert!(flattener.space().digits_at(index, &mut digits));
+            assert_eq!(delta.digits(), digits.as_slice());
+            for (axis, &digit) in delta.digits().iter().enumerate() {
+                let block = flattener.cluster_graph(axis, digit as usize).unwrap();
+                expected.extend(block.processes().map(|p| p.name().to_string()));
+            }
+            assert_eq!(names, expected);
+        }
+        assert!(flattener.cluster_graph(9, 0).is_none());
     }
 
     #[test]

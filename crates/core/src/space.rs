@@ -66,18 +66,6 @@ impl VariantChoice {
             .binary_search_by(|(existing, _)| existing.as_str().cmp(interface))
     }
 
-    /// Wraps a selection vector that is already sorted by interface name with no
-    /// duplicates — the decode fast path of [`VariantSpace::choice_at`].
-    pub(crate) fn from_sorted_pairs(selections: Vec<(Sym, Sym)>) -> Self {
-        debug_assert!(
-            selections
-                .windows(2)
-                .all(|w| w[0].0.as_str() < w[1].0.as_str()),
-            "selection vector must be strictly sorted by interface name"
-        );
-        VariantChoice { selections }
-    }
-
     /// The cluster chosen for `interface`, if any.
     pub fn cluster_for(&self, interface: &str) -> Option<&'static str> {
         self.position(interface)
@@ -335,18 +323,65 @@ impl VariantSpace {
         self.gray_digits_at(rank, &mut digits)
     }
 
+    /// The Gray ranks shard `shard` of `count` owns: the contiguous range
+    /// `[shard·N/count, (shard+1)·N/count)` of the Gray walk over the
+    /// `N = count()` combinations. Consecutive ranks of one shard differ in
+    /// exactly one axis, so a shard drained in rank order patches one cluster
+    /// per step; the ranges of shards `0..count` tile `0..N` exactly once.
+    /// Empty for `shard >= count`.
+    ///
+    /// ```rust
+    /// use spi_variants::VariantSpace;
+    ///
+    /// let space = VariantSpace::new(vec![
+    ///     ("if1".into(), vec!["a".into(), "b".into()]),
+    ///     ("if2".into(), vec!["x".into(), "y".into(), "z".into()]),
+    /// ]);
+    /// assert_eq!(space.shard_ranks(0, 4), 0..1);
+    /// assert_eq!(space.shard_ranks(3, 4), 4..6);
+    /// ```
+    pub fn shard_ranks(&self, shard: usize, count: usize) -> std::ops::Range<usize> {
+        if shard >= count {
+            return 0..0;
+        }
+        // 128-bit products: `shard · N` overflows `usize` for big spaces.
+        let total = self.count() as u128;
+        let bound = |shard: usize| (shard as u128 * total / count as u128) as usize;
+        bound(shard)..bound(shard + 1)
+    }
+
     /// Emits the choice for a decoded digit vector in the precomputed name
     /// order — no sorting per choice.
     pub(crate) fn choice_from_digits(&self, digits: &[u32]) -> VariantChoice {
-        VariantChoice::from_sorted_pairs(
-            self.sorted_axes
-                .iter()
-                .map(|&axis| {
-                    let (interface, clusters) = &self.axes[axis as usize];
-                    (*interface, clusters[digits[axis as usize] as usize])
-                })
-                .collect(),
-        )
+        let mut choice = VariantChoice::default();
+        self.choice_from_digits_into(digits, &mut choice);
+        choice
+    }
+
+    /// Writes the choice for `digits` (one cluster position per axis, in axis
+    /// order — e.g. [`DeltaFlattener::digits`](crate::DeltaFlattener::digits))
+    /// into `choice`, reusing its allocation: the per-variant decode of a hot
+    /// loop that keeps one choice buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `digits` is shorter than the axis list or a digit is out of
+    /// its axis's range.
+    pub fn choice_from_digits_into(&self, digits: &[u32], choice: &mut VariantChoice) {
+        choice.selections.clear();
+        choice
+            .selections
+            .extend(self.sorted_axes.iter().map(|&axis| {
+                let (interface, clusters) = &self.axes[axis as usize];
+                (*interface, clusters[digits[axis as usize] as usize])
+            }));
+        debug_assert!(
+            choice
+                .selections
+                .windows(2)
+                .all(|w| w[0].0.as_str() < w[1].0.as_str()),
+            "selection vector must be strictly sorted by interface name"
+        );
     }
 
     /// Lazily enumerates every combination as a [`VariantChoice`], in the same
@@ -837,6 +872,43 @@ mod tests {
         }
         indices.sort_unstable();
         assert_eq!(indices, (0..space.count()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn contiguous_shard_ranks_tile_the_gray_walk() {
+        let space = VariantSpace::new(vec![
+            ("if1".into(), vec!["a".into(), "b".into(), "c".into()]),
+            ("if2".into(), vec!["x".into(), "y".into()]),
+        ]);
+        for count in 1..=8 {
+            let mut next = 0;
+            for shard in 0..count {
+                let ranks = space.shard_ranks(shard, count);
+                assert_eq!(ranks.start, next, "shards of {count} are contiguous");
+                next = ranks.end;
+            }
+            assert_eq!(next, space.count());
+        }
+        assert!(space.shard_ranks(4, 4).is_empty());
+        assert!(space.shard_ranks(0, 0).is_empty());
+        // Ranks of one shard step through the walk one axis at a time.
+        let walk: Vec<_> = space.choices_delta_iter().collect();
+        let ranks = space.shard_ranks(1, 2);
+        assert!(walk[ranks.start + 1..ranks.end]
+            .iter()
+            .all(|(_, changed, _)| changed.is_some()));
+    }
+
+    #[test]
+    fn choice_from_digits_into_reuses_the_buffer() {
+        let space = space();
+        let mut digits = Vec::new();
+        let mut choice = VariantChoice::new();
+        for index in 0..space.count() {
+            assert!(space.digits_at(index, &mut digits));
+            space.choice_from_digits_into(&digits, &mut choice);
+            assert_eq!(Some(&choice), space.choice_at(index).as_ref());
+        }
     }
 
     #[test]

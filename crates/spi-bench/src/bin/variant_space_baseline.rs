@@ -706,12 +706,15 @@ struct ObsSection {
 /// each overhead is attributed to exactly one plane. Rounds are paired and
 /// interleaved so frequency scaling and cache state drift hit both sides
 /// equally; each overhead is the ratio of the two **medians** (robust
-/// against per-round noise), clamped at zero.
+/// against per-round noise), clamped at zero. A round must be long against
+/// thread start-up and scheduler noise: at 16 interfaces (65,536 variants)
+/// a round lasts ~0.2 s on 2 CPUs, where 4,096 variants lasted ~15 ms and
+/// read anywhere from 0% to 25%.
 fn measure_obs(interfaces: usize) -> ObsSection {
     let system = scaling_system(interfaces, 2).expect("scaling system builds");
     let variants = system.variant_space().count();
     let evaluator = PartitionEvaluator::default();
-    const ROUNDS: usize = 7;
+    const ROUNDS: usize = 15;
 
     let run = |metrics_enabled: bool, spans_enabled: bool| -> u128 {
         let service = ExplorationService::start(ServiceConfig {
@@ -810,7 +813,7 @@ fn main() {
     let store = measure_store(8);
 
     eprintln!("measuring observability overhead: metrics plane, then span recorder, on vs off...");
-    let obs = measure_obs(12);
+    let obs = measure_obs(16);
 
     let mut json = String::new();
     json.push_str("{\n");

@@ -48,7 +48,7 @@ pub struct SimConfig {
     pub interfaces: usize,
     /// Cluster choices per interface.
     pub clusters: usize,
-    /// Strided shards the job is split into.
+    /// Shards the job is split into.
     pub shard_count: usize,
     /// Lease timeout of the simulated registry.
     pub lease_timeout: Duration,

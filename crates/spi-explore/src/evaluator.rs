@@ -14,15 +14,22 @@
 //! bound strictly exceeds the incumbent is skipped — it cannot beat *or tie*
 //! the incumbent, so skipping preserves the exact `(cost, index)` optimum,
 //! tie-breaks included.
+//!
+//! A drain evaluates many variants of one space, so it evaluates them through an
+//! [`EvalSession`] built once per drain by [`Evaluator::session`]: per-drain state
+//! (tables derived from the job's [`Flattener`], reused buffers) lives in the session
+//! instead of being rebuilt per variant. The default session simply forwards to
+//! [`Evaluator::lower_bound`] and [`Evaluator::evaluate_spanned`].
 
 use spi_model::json::{JsonValue, ToJson};
 use spi_model::SpiGraph;
 use spi_store::span::{PhaseId, SpanSink};
-use spi_synth::partition::optimize_compiled;
+use spi_synth::partition::{search_compiled, SearchOutcome};
 use spi_synth::{
-    compiled_from_flat_graph, FeasibilityMode, SearchStrategy, SynthError, TaskParams,
+    compiled_from_flat_graph, BlockLowering, CompiledProblem, FeasibilityMode, SearchStrategy,
+    SynthError, TaskId, TaskParams,
 };
-use spi_variants::VariantChoice;
+use spi_variants::{Flattener, VariantChoice};
 
 use crate::error::ExploreError;
 use crate::Result;
@@ -40,8 +47,111 @@ pub struct Evaluation {
     pub detail: String,
 }
 
+/// The cost and feasibility of one variant, as an [`EvalSession`] reports it; the
+/// `detail` of an [`Evaluation`] is rendered separately, on demand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Score {
+    /// As [`Evaluation::cost`].
+    pub cost: u64,
+    /// As [`Evaluation::feasible`].
+    pub feasible: bool,
+}
+
+/// One flattened variant, as a drain hands it to an [`EvalSession`].
+#[derive(Debug, Clone, Copy)]
+pub struct Variant<'a> {
+    /// Index of the variant in the space's mixed-radix order.
+    pub index: usize,
+    /// The selection behind the index.
+    pub choice: &'a VariantChoice,
+    /// The flattened single-variant graph.
+    pub graph: &'a SpiGraph,
+    /// The cluster position chosen per axis, in axis order (see
+    /// [`DeltaFlattener::digits`](spi_variants::DeltaFlattener::digits)).
+    pub digits: &'a [u32],
+}
+
+/// Per-drain evaluation state; see [`Evaluator::session`].
+pub trait EvalSession {
+    /// As [`Evaluator::lower_bound`].
+    fn lower_bound(&mut self, variant: &Variant<'_>) -> u64;
+
+    /// As [`Evaluator::evaluate_spanned`], without rendering the detail.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::evaluate`].
+    fn evaluate(
+        &mut self,
+        variant: &Variant<'_>,
+        incumbent: u64,
+        spans: &SpanSink,
+    ) -> Result<Score>;
+
+    /// The [`Evaluation::detail`] of the variant the most recent
+    /// [`evaluate`](Self::evaluate) scored feasible. Drains ask only for the details
+    /// of variants that enter their top-K, so rendering is paid there and nowhere
+    /// else.
+    fn detail(&mut self) -> String;
+}
+
+/// The default session: every call forwards to the evaluator's per-variant methods.
+struct GraphSession<'a, E: ?Sized> {
+    evaluator: &'a E,
+    detail: String,
+}
+
+impl<'a, E: Evaluator + ?Sized> GraphSession<'a, E> {
+    fn new(evaluator: &'a E) -> Self {
+        GraphSession {
+            evaluator,
+            detail: String::new(),
+        }
+    }
+}
+
+impl<E: Evaluator + ?Sized> EvalSession for GraphSession<'_, E> {
+    fn lower_bound(&mut self, variant: &Variant<'_>) -> u64 {
+        self.evaluator.lower_bound(variant.choice, variant.graph)
+    }
+
+    fn evaluate(
+        &mut self,
+        variant: &Variant<'_>,
+        incumbent: u64,
+        spans: &SpanSink,
+    ) -> Result<Score> {
+        let evaluation = self.evaluator.evaluate_spanned(
+            variant.index,
+            variant.choice,
+            variant.graph,
+            incumbent,
+            spans,
+        )?;
+        self.detail = evaluation.detail;
+        Ok(Score {
+            cost: evaluation.cost,
+            feasible: evaluation.feasible,
+        })
+    }
+
+    fn detail(&mut self) -> String {
+        std::mem::take(&mut self.detail)
+    }
+}
+
 /// A pluggable variant evaluator; see the module docs.
 pub trait Evaluator: Send + Sync {
+    /// Opens the per-drain [`EvalSession`] for variants of `flattener`'s space.
+    /// The default session forwards to [`lower_bound`](Self::lower_bound) and
+    /// [`evaluate_spanned`](Self::evaluate_spanned); evaluators that can derive
+    /// per-drain tables from the flattener override it. A session must score every
+    /// variant exactly as those two methods would.
+    fn session<'a>(&'a self, flattener: &'a Flattener) -> Box<dyn EvalSession + 'a> {
+        let _ = flattener;
+        Box::new(GraphSession::new(self))
+    }
+
     /// An admissible lower bound on [`evaluate`](Self::evaluate)'s cost for
     /// this variant: it must never exceed the true cost. Workers skip the
     /// evaluation when the bound strictly exceeds the job incumbent. The
@@ -197,18 +307,101 @@ impl Default for PartitionEvaluator {
 }
 
 impl PartitionEvaluator {
-    /// Renders the mapping summary carried into reports; deterministic for a
-    /// given optimum, so two processes evaluating the same variant agree.
-    fn detail_of(cost: &spi_synth::CostBreakdown) -> String {
-        format!(
-            "hw=[{}] sw=[{}]",
-            cost.hardware_tasks.join(","),
-            cost.software_tasks.join(",")
-        )
+    /// Renders the mapping summary carried into reports — the winner's hardware and
+    /// software tasks, each in task-id (name) order; deterministic for a given
+    /// optimum, so two processes evaluating the same variant agree.
+    fn detail_of(problem: &CompiledProblem, winner: &SearchOutcome) -> String {
+        let tasks = |hardware: bool| {
+            (0..problem.task_count() as u32)
+                .map(TaskId)
+                .filter(|&task| winner.is_hardware(task) == hardware)
+                .map(|task| problem.name_of(task))
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        format!("hw=[{}] sw=[{}]", tasks(true), tasks(false))
+    }
+
+    /// Searches one lowered variant: the winner, or the reason no mapping is
+    /// feasible.
+    fn search(
+        &self,
+        problem: &CompiledProblem,
+    ) -> Result<std::result::Result<SearchOutcome, String>> {
+        match search_compiled(problem, self.mode, self.strategy) {
+            Ok(winner) => Ok(Ok(winner)),
+            Err(SynthError::Infeasible(message)) => Ok(Err(message)),
+            Err(other) => Err(ExploreError::Synth(other)),
+        }
+    }
+}
+
+/// The [`PartitionEvaluator`]'s session: variants are lowered from per-cluster
+/// task blocks ([`BlockLowering`]) instead of from the flattened graph, and the
+/// winner's detail is rendered only when asked for.
+struct PartitionSession<'a> {
+    evaluator: &'a PartitionEvaluator,
+    lowering: BlockLowering,
+    /// The winner of the most recent feasible evaluation.
+    winner: Option<SearchOutcome>,
+}
+
+impl EvalSession for PartitionSession<'_> {
+    fn lower_bound(&mut self, variant: &Variant<'_>) -> u64 {
+        self.evaluator
+            .processor_cost
+            .min(self.lowering.area_sum(variant.digits))
+    }
+
+    fn evaluate(
+        &mut self,
+        variant: &Variant<'_>,
+        _incumbent: u64,
+        spans: &SpanSink,
+    ) -> Result<Score> {
+        // The retained winner belongs to the problem buffer `lower` reuses.
+        self.winner = None;
+        // The drain's lap chain runs from the end of the flatten, so the
+        // lowering lap also covers decoding the choice and the lower bound.
+        let problem = self.lowering.lower(variant.digits);
+        spans.lap(PhaseId::CompileLower);
+        let searched = self.evaluator.search(problem?);
+        spans.lap(PhaseId::PartitionSearch);
+        let searched = searched?;
+        let score = match &searched {
+            Ok(winner) => Score {
+                cost: winner.total,
+                feasible: true,
+            },
+            Err(_) => Score {
+                cost: u64::MAX,
+                feasible: false,
+            },
+        };
+        self.winner = searched.ok();
+        Ok(score)
+    }
+
+    fn detail(&mut self) -> String {
+        match &self.winner {
+            Some(winner) => PartitionEvaluator::detail_of(self.lowering.problem(), winner),
+            None => String::new(),
+        }
     }
 }
 
 impl Evaluator for PartitionEvaluator {
+    /// Lowers variants from the flattener's per-cluster task blocks.
+    fn session<'a>(&'a self, flattener: &'a Flattener) -> Box<dyn EvalSession + 'a> {
+        Box::new(PartitionSession {
+            evaluator: self,
+            lowering: BlockLowering::new(flattener, self.processor_cost, |name| {
+                self.params.params_for(name)
+            }),
+            winner: None,
+        })
+    }
+
     /// The canonical spec: every field spelled out with defaults normalized,
     /// so differently-worded wire submissions of the same evaluator digest
     /// identically. All four search strategies return the same *optimal cost*
@@ -266,40 +459,30 @@ impl Evaluator for PartitionEvaluator {
         _incumbent: u64,
         spans: &SpanSink,
     ) -> Result<Evaluation> {
-        let spanning = spans.is_enabled();
         // The direct slab → CompiledProblem path: one pass over the flattened
         // graph's node slab, no string-keyed SynthesisProblem in between
         // (bit-identical to the two-step path, pinned in spi-synth's tests).
-        if spanning {
-            spans.enter(PhaseId::CompileLower);
-        }
+        spans.enter(PhaseId::CompileLower);
         let compiled = compiled_from_flat_graph(graph, self.processor_cost, |name| {
             Some(self.params.params_for(name))
         });
-        if spanning {
-            spans.exit();
-        }
+        spans.exit();
         let compiled = compiled?;
-        if spanning {
-            spans.enter(PhaseId::PartitionSearch);
-        }
-        let searched = optimize_compiled(&compiled, self.mode, self.strategy);
-        if spanning {
-            spans.exit();
-        }
-        match searched {
-            Ok(result) => Ok(Evaluation {
-                cost: result.cost.total(),
+        spans.enter(PhaseId::PartitionSearch);
+        let searched = self.search(&compiled);
+        spans.exit();
+        Ok(match searched? {
+            Ok(winner) => Evaluation {
+                cost: winner.total,
                 feasible: true,
-                detail: Self::detail_of(&result.cost),
-            }),
-            Err(SynthError::Infeasible(message)) => Ok(Evaluation {
+                detail: Self::detail_of(&compiled, &winner),
+            },
+            Err(message) => Evaluation {
                 cost: u64::MAX,
                 feasible: false,
                 detail: message,
-            }),
-            Err(other) => Err(ExploreError::Synth(other)),
-        }
+            },
+        })
     }
 }
 
@@ -414,7 +597,11 @@ mod tests {
         assert_eq!(evaluation.cost, direct.cost.total());
         assert_eq!(
             evaluation.detail,
-            PartitionEvaluator::detail_of(&direct.cost)
+            format!(
+                "hw=[{}] sw=[{}]",
+                direct.cost.hardware_tasks.join(","),
+                direct.cost.software_tasks.join(",")
+            )
         );
     }
 

@@ -9,7 +9,7 @@
 //! points of that space cheap (`Flattener::flatten_at`), `spi-synth` makes
 //! evaluating one point fast (the compiled searches); this crate makes the
 //! *space* drainable: a long-running [`ExplorationService`] owns a registry of
-//! jobs, leases **strided shards** to a worker pool under an expiring
+//! jobs, leases **shards** (contiguous Gray-rank ranges) to a worker pool under an expiring
 //! [job/lease protocol](crate::registry), evaluates every flattened variant
 //! through a pluggable [`Evaluator`], aggregates batched, incrementally-merged
 //! [`ShardReport`]s, and shares a best-cost **incumbent** that workers use to
@@ -65,7 +65,10 @@ pub mod worker;
 pub use clock::{Clock, SimClock, SystemClock};
 pub use durability::{DurabilitySink, MemorySink, MemoryStore, WalSink};
 pub use error::ExploreError;
-pub use evaluator::{Evaluation, Evaluator, FnEvaluator, PartitionEvaluator, TaskParamsSpec};
+pub use evaluator::{
+    EvalSession, Evaluation, Evaluator, FnEvaluator, PartitionEvaluator, Score, TaskParamsSpec,
+    Variant,
+};
 pub use health::{
     HealthFinding, HealthObservation, HealthReport, LeaseHealth, TenantHealth, Watchdog,
 };

@@ -13,11 +13,13 @@
 //!
 //! # The protocol
 //!
-//! A submitted job covers a variant space split into `shard_count` **strided
-//! shards**: shard `s` owns the variant indices `s, s + count, s + 2·count, …`
-//! (the stride rides on the `O(axes)` `nth` of the lazy space iterator, so a
-//! shard never decodes another shard's combinations). Shards move through
-//! three states:
+//! A submitted job covers a variant space split into `shard_count` **shards
+//! of contiguous Gray ranks**: shard `s` owns the ranks
+//! [`shard_ranks(s, count)`](spi_variants::VariantSpace::shard_ranks) of the
+//! space's Gray walk, so consecutive variants of a shard differ in one axis
+//! and a drain patches one cluster per step (Gray ranks decode in `O(axes)`,
+//! so a shard never decodes another shard's combinations). Shards move
+//! through three states:
 //!
 //! ```text
 //!                    lease()                    complete_shard()
@@ -59,6 +61,10 @@
 //! boundary: a shard's staged report is appended to the sink *before* it
 //! merges into the committed aggregate, so replay after a crash reconstructs
 //! exactly the committed census — interrupted shards restart from zero.
+//! Submit, shard and snapshot records carry `"layout":"contiguous"`: a
+//! store written while shards were strided (`s, s + count, …`) restores a
+//! running job with such commits as cancelled rather than resume it under
+//! a layout that would count some variants twice and skip others.
 //!
 //! # The result cache
 //!
@@ -187,8 +193,9 @@ impl fmt::Display for JobState {
 pub struct JobSpec {
     /// Human-readable job name (for status displays; not unique).
     pub name: String,
-    /// Number of strided shards the space is split into. Clamped to the
-    /// combination count — an all-empty shard would be pure lease traffic.
+    /// Number of shards (contiguous Gray-rank ranges) the space is split
+    /// into. Clamped to the combination count — an all-empty shard would be
+    /// pure lease traffic.
     pub shard_count: usize,
     /// How many of the cheapest variants to retain.
     pub top_k: usize,
@@ -255,9 +262,10 @@ pub struct Lease {
     pub job: JobId,
     /// The lease token; batches and the completion must cite it.
     pub lease: LeaseId,
-    /// Strided shard index in `0..shard_count`.
+    /// Shard index in `0..shard_count`; the shard owns the Gray ranks
+    /// [`shard_ranks(shard, shard_count)`](spi_variants::VariantSpace::shard_ranks).
     pub shard: usize,
-    /// Total shard count of the job (the stride).
+    /// Total shard count of the job.
     pub shard_count: usize,
     /// The job's fair-queuing tenant — span attribution uses it, so a worker
     /// never has to re-ask the registry who it is working for.
@@ -396,8 +404,9 @@ enum ShardSlot {
     Done,
 }
 
-/// What a job needs to hand out leases; recovered terminal jobs (and running
-/// jobs whose recipe could not be rebuilt) are archived without one.
+/// What a job needs to hand out leases. Terminal jobs (and running jobs
+/// whose recipe could not be rebuilt after a restart) are archived without
+/// one, so a finished job does not keep its flattener alive.
 enum JobEngine {
     Live {
         flattener: Arc<Flattener>,
@@ -492,6 +501,7 @@ impl Job {
             ("weight", JsonValue::Int(i128::from(self.weight))),
             ("use_cache", JsonValue::Bool(self.use_cache)),
             ("shards", self.shard_count.to_json()),
+            ("layout", JsonValue::string(SHARD_LAYOUT)),
             ("top_k", self.top_k.to_json()),
             ("combinations", self.combinations.to_json()),
             (
@@ -526,7 +536,8 @@ pub struct RestoreStats {
     pub resumed: usize,
     /// Shards requeued across resumed jobs.
     pub requeued_shards: usize,
-    /// Running jobs that could not be rebuilt and were cancelled (their
+    /// Running jobs that could not be rebuilt, or that committed shards under
+    /// the strided layout of older stores, and were cancelled (their
     /// committed partial results are kept).
     pub unrecoverable: usize,
     /// Result-cache entries available after the restore.
@@ -746,9 +757,13 @@ impl JobRegistry {
             shard_count,
             top_k: spec.top_k.max(1),
             combinations,
-            engine: JobEngine::Live {
-                flattener,
-                evaluator,
+            engine: if empty || cache_hit {
+                JobEngine::Archived
+            } else {
+                JobEngine::Live {
+                    flattener,
+                    evaluator,
+                }
             },
             incumbent: Arc::new(AtomicU64::new(u64::MAX)),
             cancelled: Arc::new(AtomicBool::new(false)),
@@ -1119,6 +1134,7 @@ impl JobRegistry {
                 ("t", JsonValue::string("shard")),
                 ("job", job_id.raw().to_json()),
                 ("shard", shard.to_json()),
+                ("layout", JsonValue::string(SHARD_LAYOUT)),
                 ("report", full.to_json()),
             ]);
             if let Err(rejected) = self.append_record(&record) {
@@ -1188,6 +1204,9 @@ impl JobRegistry {
         });
         if done == total {
             job.state = JobState::Completed;
+            // A terminal job never leases again; in-flight hedges keep their
+            // own handles on the engine.
+            job.engine = JobEngine::Archived;
             let cache_entry = job.digest.map(|digest| (digest, job.committed.to_json()));
             let status = job.status(job_id);
             job.emit(JobEvent::Finished { status });
@@ -1343,6 +1362,7 @@ impl JobRegistry {
         }
         let job = self.jobs.get_mut(&job_id).expect("job still present");
         job.state = JobState::Cancelled;
+        job.engine = JobEngine::Archived;
         job.cancelled.store(true, Ordering::Relaxed);
         job.staged.clear();
         let stale: Vec<(LeaseId, usize)> = self
@@ -1710,6 +1730,7 @@ impl JobRegistry {
                     if job.done.insert(shard) {
                         job.committed.merge(&report, job.top_k);
                     }
+                    job.legacy_commits |= !has_current_layout(record);
                     if job.done.len() == job.shard_count && job.state == JobState::Running {
                         job.state = JobState::Completed;
                     }
@@ -1738,6 +1759,12 @@ impl JobRegistry {
                 }
             }
             let mut engine = JobEngine::Archived;
+            if job.state == JobState::Running && job.legacy_commits {
+                // Its committed shards own strided index sets; resuming the
+                // rest under contiguous ranges would double-count and skip.
+                stats.unrecoverable += 1;
+                job.state = JobState::Cancelled;
+            }
             if job.state == JobState::Running {
                 let rebuilt = job
                     .recipe
@@ -1858,6 +1885,7 @@ fn submit_record(id: JobId, job: &Job) -> JsonValue {
         ("weight".to_string(), JsonValue::Int(i128::from(job.weight))),
         ("use_cache".to_string(), JsonValue::Bool(job.use_cache)),
         ("shards".to_string(), job.shard_count.to_json()),
+        ("layout".to_string(), JsonValue::string(SHARD_LAYOUT)),
         ("top_k".to_string(), job.top_k.to_json()),
         ("combinations".to_string(), job.combinations.to_json()),
         (
@@ -1880,6 +1908,15 @@ fn submit_record(id: JobId, job: &Job) -> JsonValue {
     JsonValue::Object(members)
 }
 
+/// How shards own their variants: contiguous Gray-rank ranges. Records
+/// without this marker predate it, when shard `s` of `n` owned the ranks
+/// `≡ s (mod n)`.
+const SHARD_LAYOUT: &str = "contiguous";
+
+fn has_current_layout(record: &JsonValue) -> bool {
+    record.get("layout").and_then(JsonValue::as_str) == Some(SHARD_LAYOUT)
+}
+
 /// Intermediate per-job state while replaying snapshot + records.
 struct RecoveredJob {
     id: u64,
@@ -1895,6 +1932,8 @@ struct RecoveredJob {
     cache_hit: bool,
     state: JobState,
     done: std::collections::BTreeSet<usize>,
+    /// Whether any committed shard was drained under the strided layout.
+    legacy_commits: bool,
     committed: ShardReport,
     hedges_issued: u64,
     hedge_wins: u64,
@@ -1967,6 +2006,7 @@ impl RecoveredJob {
                 .and_then(JsonValue::as_bool)
                 .unwrap_or(false),
             state,
+            legacy_commits: !done.is_empty() && !has_current_layout(value),
             done,
             committed,
             hedges_issued: value

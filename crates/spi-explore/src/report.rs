@@ -88,6 +88,15 @@ impl ShardReport {
         self.top.first()
     }
 
+    /// Whether a variant with ordering `key` (see [`BestVariant::key`]) would
+    /// enter `top` if [`record`](Self::record)ed now — what a drain asks before
+    /// paying for the variant's choice and detail.
+    pub fn admits(&self, key: (u64, usize), top_k: usize) -> bool {
+        self.top
+            .get(top_k.max(1) - 1)
+            .is_none_or(|last| key <= last.key())
+    }
+
     /// Records one feasible evaluation, keeping `top` sorted and capped
     /// (a `top_k` of zero is treated as one — the best is always kept).
     pub fn record(&mut self, variant: BestVariant, top_k: usize) {
@@ -195,6 +204,25 @@ mod tests {
         let keys: Vec<_> = report.top.iter().map(BestVariant::key).collect();
         assert_eq!(keys, vec![(5, 4), (10, 1), (10, 3)]);
         assert_eq!(report.best().unwrap().index, 4);
+    }
+
+    #[test]
+    fn admits_exactly_what_record_would_keep() {
+        let mut cases = spi_testutil::Lcg::new(7);
+        for top_k in [0, 1, 3] {
+            let mut report = ShardReport::default();
+            for index in 0..64 {
+                let cost = cases.below(20);
+                let admitted = report.admits((cost, index), top_k);
+                let before = report.top.clone();
+                report.record(variant(index, cost), top_k);
+                assert_eq!(
+                    admitted,
+                    report.top != before,
+                    "top_k {top_k} index {index}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The long-running exploration service: registry + worker pool + client API.
 //!
 //! [`ExplorationService::start`] spawns a pool of OS worker threads that
-//! repeatedly lease strided shards from the [`JobRegistry`], drain them
+//! repeatedly lease shards (contiguous Gray-rank ranges) from the
+//! [`JobRegistry`], drain them
 //! ([`crate::worker::drain_lease`]) and feed batched results back. Clients
 //! talk to the service in-process through the methods here — submit, poll,
 //! cancel, blocking wait, and an event subscription over `std::sync::mpsc`

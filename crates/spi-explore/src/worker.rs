@@ -11,9 +11,9 @@ use std::time::Instant;
 
 use spi_store::metrics::{CounterId, HistogramId, MetricsRegistry};
 use spi_store::span::{PhaseId, SpanSink};
-use spi_variants::DeltaFlattener;
+use spi_variants::{DeltaFlattener, VariantChoice};
 
-use crate::evaluator::Evaluation;
+use crate::evaluator::{Score, Variant};
 use crate::registry::Lease;
 use crate::report::{BestVariant, ShardReport};
 
@@ -38,15 +38,19 @@ pub enum DrainOutcome {
     Stopped,
 }
 
-/// Drains every variant of `lease`'s strided shard: flatten incrementally,
-/// prune against the incumbent, evaluate, batch.
+/// Drains every variant of `lease`'s shard: flatten incrementally, prune
+/// against the incumbent, evaluate, batch.
 ///
-/// The shard is walked in **Gray-code order** through a [`DeltaFlattener`]:
-/// rank `r ≡ shard (mod shard_count)` maps to the canonical variant index
-/// `gray_index_at(r)`, and consecutive ranks differ in one axis, so each
-/// flatten patches the previous flat graph instead of rebuilding it from the
-/// skeleton. Reports still carry canonical indices — the registry and the
-/// evaluator never see Gray ranks.
+/// The shard owns the contiguous Gray-rank range
+/// [`VariantSpace::shard_ranks`](spi_variants::VariantSpace::shard_ranks) and
+/// walks it in rank order through a [`DeltaFlattener`]: rank `r` maps to the
+/// canonical variant index `gray_index_at(r)`, and consecutive ranks differ in
+/// one axis, so each flatten patches one cluster of the previous flat graph
+/// instead of rebuilding it from the skeleton. Variants are scored through one
+/// [`EvalSession`](crate::EvalSession) per drain, and a variant's choice and
+/// detail are only materialized when it enters the batch's top-K. Reports
+/// still carry canonical indices — the registry and the evaluator never see
+/// Gray ranks.
 ///
 /// * `batch_size` bounds how many variants are accounted per flush — smaller
 ///   batches mean fresher progress and tighter lease renewal, larger batches
@@ -65,10 +69,10 @@ pub enum DrainOutcome {
 ///   per-shard sum is the shard's true wall time.
 ///
 /// Accounting guarantee: when the drain returns [`DrainOutcome::Completed`],
-/// every Gray rank `r ≡ shard (mod shard_count)` of the space was counted in
-/// exactly one flushed delta (as evaluated, pruned or errored). Gray order
-/// is a permutation of the space, so the union over all shards still covers
-/// every variant index exactly once.
+/// every Gray rank of the shard's range was counted in exactly one flushed
+/// delta (as evaluated, pruned or errored). The ranges of all shards tile the
+/// walk, and Gray order is a permutation of the space, so the union over all
+/// shards covers every variant index exactly once.
 pub fn drain_lease(
     lease: &Lease,
     batch_size: usize,
@@ -80,19 +84,28 @@ pub fn drain_lease(
     drain_lease_instrumented(lease, batch_size, metrics, stop, flush)
 }
 
-/// Sums the drain's scratch-graph reuse into the flatten counters — called
-/// once per drain, on every exit path.
-fn record_flatten(metrics: &MetricsRegistry, flattener: &DeltaFlattener<'_>) {
+/// Sums the drain's scratch-graph reuse into the flatten counters, and its
+/// tally of processes spliced per patch (`patched[n]` = patches that spliced
+/// `n`) into [`HistogramId::FlattenPatchedProcesses`] — called once per
+/// drain, on every exit path, so the hot loop touches no shared metric.
+fn record_flatten(metrics: &MetricsRegistry, flattener: &DeltaFlattener<'_>, patched: &[u64]) {
     let stats = flattener.stats();
     metrics.add(CounterId::FlattenPatches, stats.patches);
     metrics.add(CounterId::FlattenRebuilds, stats.rebuilds);
     metrics.add(CounterId::FlattenFallbacks, stats.rebuild_fallbacks);
+    for (processes, &count) in patched.iter().enumerate() {
+        metrics.record_n(
+            HistogramId::FlattenPatchedProcesses,
+            processes as u64,
+            count,
+        );
+    }
 }
 
 /// [`drain_lease`] with a live [`MetricsRegistry`]: the worker pool's entry
-/// point. On top of the plain drain it records, per successful patch, how
-/// many processes the splice touched
-/// ([`HistogramId::FlattenPatchedProcesses`]) and, once per drain, the
+/// point. On top of the plain drain it tallies, per successful patch, how
+/// many processes the splice touched and records the tally
+/// ([`HistogramId::FlattenPatchedProcesses`]) once per drain, with the
 /// patch/rebuild/fallback totals of its scratch graph.
 pub fn drain_lease_instrumented(
     lease: &Lease,
@@ -113,13 +126,19 @@ pub fn drain_lease_instrumented(
 
 /// [`drain_lease_instrumented`] plus the profiling plane: the whole drain
 /// becomes one [`PhaseId::DrainShard`] root span on `spans`, each variant's
-/// flatten is recorded as [`PhaseId::FlattenPatch`] or
+/// flatten is lapped ([`SpanSink::lap`]) as [`PhaseId::FlattenPatch`] or
 /// [`PhaseId::FlattenRebuild`] (classified by the delta flattener's own
 /// stats — a rebuild is exactly the one-shot `flatten_at` path), and the
-/// evaluator gets the sink via [`Evaluator::evaluate_spanned`] to time its
-/// internal stages. A disabled sink reduces every site to one branch.
+/// evaluator's session gets the sink via [`EvalSession::evaluate`] to lap its
+/// internal stages on the chain the flatten left running. The chain runs
+/// on from one variant to the next, and the renewal check reuses its last
+/// boundary instead of reading the clock, so phase timing costs one clock
+/// read per phase boundary; the drain's own bookkeeping between a search
+/// and the next flatten is counted in that flatten. The laps publish as one
+/// aggregate span per phase with every report batch. A disabled sink
+/// reduces every site to one branch.
 ///
-/// [`Evaluator::evaluate_spanned`]: crate::evaluator::Evaluator::evaluate_spanned
+/// [`EvalSession::evaluate`]: crate::evaluator::EvalSession::evaluate
 pub fn drain_lease_spanned(
     lease: &Lease,
     batch_size: usize,
@@ -129,74 +148,87 @@ pub fn drain_lease_spanned(
     mut flush: impl FnMut(ShardReport, bool) -> FlushResponse,
 ) -> DrainOutcome {
     let space = lease.flattener.space();
-    let combinations = space.count();
     let batch_size = batch_size.max(1);
     let spanning = spans.is_enabled();
 
     let mut delta = ShardReport::default();
     let mut flattener = DeltaFlattener::new(&lease.flattener);
-    let mut batch_started = Instant::now();
+    let mut session = lease.evaluator.session(&lease.flattener);
+    let mut choice = VariantChoice::new();
     let mut since_flush = 0usize;
     let mut patches_seen = 0u64;
+    let mut patched: Vec<u64> = Vec::new();
     let mut span_patches = 0u64;
     if spanning {
         spans.enter(PhaseId::DrainShard);
     }
+    let mut batch_started = Instant::now();
+    spans.lap_start(batch_started);
 
-    let mut rank = lease.shard;
-    while rank < combinations {
+    let ranks = space.shard_ranks(lease.shard, lease.shard_count);
+    let last = ranks.end;
+    for rank in ranks {
         if lease.cancelled.load(Ordering::Relaxed) || stop() {
-            record_flatten(metrics, &flattener);
+            record_flatten(metrics, &flattener, &patched);
             if spanning {
                 spans.exit();
             }
             return DrainOutcome::Stopped;
         }
 
-        let flatten_start = spanning.then(|| spans.stamp());
-        let flatten_end;
-        match flattener.flatten_gray_rank(rank) {
+        let flattened = flattener.flatten_gray_rank(rank).map(|(index, _)| index);
+        if spanning {
+            // Classified patch-vs-rebuild the way the metrics plane
+            // classifies its counters.
+            let patches = flattener.stats().patches;
+            spans.lap(if patches > span_patches {
+                PhaseId::FlattenPatch
+            } else {
+                PhaseId::FlattenRebuild
+            });
+            span_patches = patches;
+        }
+        let flatten_end = spans.lap_time();
+        match flattened {
             // A failed flatten also reset the patcher, so the next rank
             // rebuilds from the skeleton instead of a poisoned graph.
-            Err(_) => {
-                flatten_end = flatten_start.map(|_| spans.stamp());
-                delta.errors += 1;
-            }
-            Ok((index, graph)) => {
-                flatten_end = flatten_start.map(|_| spans.stamp());
-                let choice = space
-                    .choice_at(index)
-                    .expect("gray rank maps into the space by construction");
+            Err(_) => delta.errors += 1,
+            Ok(index) => {
+                let digits = flattener.digits();
+                space.choice_from_digits_into(digits, &mut choice);
+                let variant = Variant {
+                    index,
+                    choice: &choice,
+                    graph: flattener
+                        .graph()
+                        .expect("a successful flatten leaves the graph primed"),
+                    digits,
+                };
                 let incumbent = lease.incumbent.load(Ordering::Relaxed);
                 // Strictly-greater check: a variant whose bound *equals* the
                 // incumbent could still tie it and win the (cost, index)
                 // tie-break, so only strictly-worse variants are skipped.
-                if lease.evaluator.lower_bound(&choice, graph) > incumbent {
+                if session.lower_bound(&variant) > incumbent {
                     delta.pruned += 1;
                 } else {
-                    match lease
-                        .evaluator
-                        .evaluate_spanned(index, &choice, graph, incumbent, spans)
-                    {
+                    match session.evaluate(&variant, incumbent, spans) {
                         Err(_) => delta.errors += 1,
-                        Ok(Evaluation {
-                            cost,
-                            feasible,
-                            detail,
-                        }) => {
+                        Ok(Score { cost, feasible }) => {
                             delta.evaluated += 1;
                             if feasible {
                                 delta.feasible += 1;
                                 lease.incumbent.fetch_min(cost, Ordering::Relaxed);
-                                delta.record(
-                                    BestVariant {
-                                        index,
-                                        cost,
-                                        choice,
-                                        detail,
-                                    },
-                                    lease.top_k,
-                                );
+                                if delta.admits((cost, index), lease.top_k) {
+                                    delta.record(
+                                        BestVariant {
+                                            index,
+                                            cost,
+                                            choice: choice.clone(),
+                                            detail: session.detail(),
+                                        },
+                                        lease.top_k,
+                                    );
+                                }
                             }
                         }
                     }
@@ -204,40 +236,38 @@ pub fn drain_lease_spanned(
             }
         }
 
-        // The flattened graph's borrow is over, so the flattener's stats are
-        // readable again: classify the flatten span patch-vs-rebuild the same
-        // way the metrics plane classifies its counters.
-        if let (Some(start), Some(end)) = (flatten_start, flatten_end) {
-            let stats = flattener.stats();
-            let phase = if stats.patches > span_patches {
-                PhaseId::FlattenPatch
-            } else {
-                PhaseId::FlattenRebuild
-            };
-            span_patches = stats.patches;
-            spans.record_complete(phase, start, end);
-        }
-
         if metrics.is_enabled() {
             let stats = flattener.stats();
             if stats.patches > patches_seen {
-                metrics.record(
-                    HistogramId::FlattenPatchedProcesses,
-                    stats.last_patched_processes,
-                );
+                let processes = stats.last_patched_processes as usize;
+                if processes >= patched.len() {
+                    patched.resize(processes + 1, 0);
+                }
+                patched[processes] += 1;
             }
             patches_seen = stats.patches;
         }
 
         since_flush += 1;
-        rank += lease.shard_count;
 
-        let due = since_flush >= batch_size || batch_started.elapsed() >= lease.renew_interval;
-        if due && rank < combinations {
-            delta.eval_ns = batch_started.elapsed().as_nanos();
+        // One clock read per variant for the renewal check, and none when the
+        // session's last lap already stamped the end of this variant's
+        // evaluation: the next flatten lap then runs on from that boundary.
+        let now = match spans.lap_time() {
+            Some(at) if Some(at) != flatten_end => at,
+            _ => {
+                let now = Instant::now();
+                spans.lap_start(now);
+                now
+            }
+        };
+        let due = since_flush >= batch_size || now - batch_started >= lease.renew_interval;
+        if due && rank + 1 < last {
+            delta.eval_ns = (now - batch_started).as_nanos();
             let batch = std::mem::take(&mut delta);
+            spans.flush_tallies();
             if flush(batch, false) == FlushResponse::Stop {
-                record_flatten(metrics, &flattener);
+                record_flatten(metrics, &flattener, &patched);
                 if spanning {
                     spans.exit();
                 }
@@ -245,11 +275,13 @@ pub fn drain_lease_spanned(
             }
             since_flush = 0;
             batch_started = Instant::now();
+            spans.lap_start(batch_started);
         }
     }
 
-    record_flatten(metrics, &flattener);
+    record_flatten(metrics, &flattener, &patched);
     delta.eval_ns = batch_started.elapsed().as_nanos();
+    spans.flush_tallies();
     let outcome = match flush(delta, true) {
         FlushResponse::Continue => DrainOutcome::Completed,
         FlushResponse::Stop => DrainOutcome::Stale,
@@ -313,10 +345,14 @@ mod tests {
             },
         );
         assert_eq!(outcome, DrainOutcome::Completed);
-        // Shard 0 of 2 over 8 variants walks Gray ranks 0, 2, 4, 6; in the
-        // reflected Gray order 0,1,3,2,6,7,5,4 those are canonical indices
-        // 0, 3, 6, 5.
-        assert_eq!(evaluated.load(Ordering::Relaxed), 0b0110_1001);
+        // Shard 0 of 2 owns the Gray ranks `shard_ranks(0, 2)`; the drain
+        // evaluates exactly their canonical indices.
+        let space = lease.flattener.space();
+        let expected: u64 = space
+            .shard_ranks(0, 2)
+            .map(|rank| 1u64 << space.gray_index_at(rank).unwrap())
+            .sum();
+        assert_eq!(evaluated.load(Ordering::Relaxed), expected);
         assert_eq!(flushed.evaluated, 4);
         assert_eq!(flushed.best().unwrap().index, 0);
         assert!(flushed.eval_ns > 0);

@@ -161,17 +161,32 @@ fn chrome_trace_ids_resolve_against_the_waitgraph_model() {
     let job = service
         .submit(&system, spec, Arc::new(PartitionEvaluator::default()))
         .unwrap();
-    service.wait(job).unwrap();
+    let status = service.wait(job).unwrap();
     let spans = settle_spans(&service, 8);
 
     // The compiled evaluator contributes lowering and search spans nested
-    // inside the drains.
-    for phase in [PhaseId::CompileLower, PhaseId::PartitionSearch] {
-        let nested: Vec<&Span> = spans.iter().filter(|span| span.phase == phase).collect();
-        assert!(!nested.is_empty(), "{phase:?} instrumented");
-        for span in nested {
-            assert!(span.parent.is_some(), "{phase:?} nests under a drain");
+    // inside the drains, as aggregates that count every occurrence once and
+    // lie inside their drain.
+    let drains: BTreeMap<u64, &Span> = spans
+        .iter()
+        .filter(|span| span.phase == PhaseId::DrainShard)
+        .map(|span| (span.id, span))
+        .collect();
+    let occurrences = |phases: &[PhaseId]| -> u64 {
+        let mut total = 0;
+        for span in spans.iter().filter(|span| phases.contains(&span.phase)) {
+            let drain = drains[&span.parent.expect("lapped phases nest under a drain")];
+            assert!(drain.start_ns <= span.start_ns && span.end_ns <= drain.end_ns);
+            total += span.count;
         }
+        total
+    };
+    assert_eq!(
+        occurrences(&[PhaseId::FlattenPatch, PhaseId::FlattenRebuild]),
+        64
+    );
+    for phase in [PhaseId::CompileLower, PhaseId::PartitionSearch] {
+        assert_eq!(occurrences(&[phase]), status.report.evaluated, "{phase:?}");
     }
 
     // Round-trip the export through the strict parser, then resolve every

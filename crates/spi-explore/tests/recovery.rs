@@ -446,3 +446,114 @@ fn byte_budgeted_registry_compacts_its_real_wal_mid_flight() {
     assert!(violations.is_empty(), "{violations:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `submit` record as stores wrote it before shards were contiguous Gray
+/// ranges: no `layout` member.
+fn legacy_submit_record() -> JsonValue {
+    JsonValue::parse(&format!(
+        r#"{{"t":"submit","job":0,"name":"legacy","tenant":"default","weight":1,"use_cache":true,"shards":4,"top_k":{COMBINATIONS},"combinations":{COMBINATIONS},"digest":null,"recipe":{},"cache_hit":false,"state":"running"}}"#,
+        recipe().to_line()
+    ))
+    .unwrap()
+}
+
+/// A legacy `shard` commit record: shard 1's strided share of the census
+/// (variants 1, 5, 9, 13 — four evaluations), no `layout` member.
+fn legacy_shard_record() -> JsonValue {
+    let report = ShardReport {
+        evaluated: 4,
+        feasible: 4,
+        ..ShardReport::default()
+    };
+    JsonValue::parse(&format!(
+        r#"{{"t":"shard","job":0,"shard":1,"report":{}}}"#,
+        spi_model::json::ToJson::to_json(&report).to_line()
+    ))
+    .unwrap()
+}
+
+#[test]
+fn a_legacy_running_job_with_commits_restores_cancelled_with_its_partials() {
+    let mut registry = JobRegistry::new(Duration::from_secs(10));
+    let stats = registry
+        .restore(
+            None,
+            &[legacy_submit_record(), legacy_shard_record()],
+            &rebuild_from_recipe,
+        )
+        .unwrap();
+    assert_eq!((stats.jobs, stats.resumed, stats.unrecoverable), (1, 0, 1));
+    assert_eq!(stats.requeued_shards, 0);
+    let status = registry.poll(JobId::from_raw(0)).unwrap();
+    assert_eq!(status.state, JobState::Cancelled);
+    assert_eq!(status.shards_done, 1);
+    assert_eq!(status.report.evaluated, 4, "committed partials are kept");
+    assert!(
+        registry.lease(Instant::now()).is_none(),
+        "no strided share may be mixed with contiguous ones"
+    );
+
+    // The same holds for a legacy snapshot summary listing committed shards.
+    let summary = JsonValue::parse(&format!(
+        r#"{{"next_job":1,"cache":{{}},"jobs":[{{"job":0,"name":"legacy","tenant":"default","weight":1,"use_cache":true,"shards":4,"top_k":{COMBINATIONS},"combinations":{COMBINATIONS},"digest":null,"recipe":{},"cache_hit":false,"state":"running","done":[1],"committed":{}}}]}}"#,
+        recipe().to_line(),
+        spi_model::json::ToJson::to_json(&ShardReport {
+            evaluated: 4,
+            ..ShardReport::default()
+        })
+        .to_line()
+    ))
+    .unwrap();
+    let mut registry = JobRegistry::new(Duration::from_secs(10));
+    let stats = registry
+        .restore(Some(&summary), &[], &rebuild_from_recipe)
+        .unwrap();
+    assert_eq!((stats.resumed, stats.unrecoverable), (0, 1));
+    assert_eq!(
+        registry.poll(JobId::from_raw(0)).unwrap().state,
+        JobState::Cancelled
+    );
+}
+
+#[test]
+fn a_legacy_running_job_with_nothing_committed_resumes_and_stays_exact() {
+    let dir = temp_dir("legacy-resume");
+    {
+        // A store holding only the legacy submit: nothing was committed
+        // under the old layout, so the job can run entirely under the new.
+        let (mut wal, _) = Wal::open(&dir).unwrap();
+        wal.append(&legacy_submit_record()).unwrap();
+    }
+    let (wal, recovered) = Wal::open(&dir).unwrap();
+    let mut registry = JobRegistry::new(Duration::from_secs(10));
+    let stats = registry
+        .restore(
+            recovered.snapshot.as_ref(),
+            &recovered.records,
+            &rebuild_from_recipe,
+        )
+        .unwrap();
+    assert_eq!((stats.resumed, stats.unrecoverable), (1, 0));
+    assert_eq!(stats.requeued_shards, 4);
+    registry.set_sink(Box::new(WalSink(wal)));
+
+    // Commit half the shards, then crash: the resumed job's own commits
+    // carry the layout, so a second restart resumes it again.
+    let clock = Instant::now();
+    for _ in 0..2 {
+        let lease = registry.lease(clock).unwrap();
+        drain_fully(&mut registry, &lease, 3, clock);
+    }
+    drop(registry);
+    let mut registry = open_registry(&dir);
+    while let Some(lease) = registry.lease(clock) {
+        drain_fully(&mut registry, &lease, 3, clock);
+    }
+    let status = registry.poll(JobId::from_raw(0)).unwrap();
+    assert_eq!(status.state, JobState::Completed);
+    assert_eq!(status.report.evaluated, COMBINATIONS as u64);
+    let (oracle_index, oracle_cost) = serial_oracle();
+    let best = status.best().unwrap();
+    assert_eq!((best.index, best.cost), (oracle_index, oracle_cost));
+    let _ = std::fs::remove_dir_all(&dir);
+}

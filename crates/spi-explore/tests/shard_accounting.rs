@@ -280,11 +280,12 @@ fn cancel_mid_drain_keeps_exactly_the_completed_shards() {
 
         // Exactly the indices of the completed shards survive — the staged
         // partial of the in-flight shard is gone, nothing is double-counted.
-        // A shard owns the Gray ranks congruent to it, so its index set is
-        // the image of those ranks under the Gray walk.
+        // A shard owns the Gray ranks `shard_ranks(shard, shard_count)`, so
+        // its index set is the image of those ranks under the Gray walk.
         let space = system.variant_space();
-        let expected: Vec<usize> = (0..combinations)
-            .filter(|rank| completed_shards.contains(&(rank % shard_count)))
+        let expected: Vec<usize> = completed_shards
+            .iter()
+            .flat_map(|&shard| space.shard_ranks(shard, shard_count))
             .map(|rank| space.gray_index_at(rank).unwrap())
             .collect();
         assert_eq!(

@@ -428,13 +428,22 @@ impl Parser<'_> {
                     }
                     self.position += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar; the input is a &str so bytes are valid.
-                    let rest = &self.bytes[self.position..];
-                    let text = std::str::from_utf8(rest).map_err(|_| self.error("invalid utf8"))?;
-                    let c = text.chars().next().expect("non-empty remainder");
-                    out.push(c);
-                    self.position += c.len_utf8();
+                Some(lead) => {
+                    // Consume one UTF-8 scalar, sized by its lead byte: decoding
+                    // only those bytes keeps a string linear in its length.
+                    let width = match lead {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        _ => 4,
+                    };
+                    let scalar = self
+                        .bytes
+                        .get(self.position..self.position + width)
+                        .and_then(|bytes| std::str::from_utf8(bytes).ok())
+                        .ok_or_else(|| self.error("invalid utf8"))?;
+                    out.push_str(scalar);
+                    self.position += width;
                 }
             }
         }
@@ -703,6 +712,45 @@ mod tests {
         // Surrogate pair for 😀.
         assert_eq!(JsonValue::parse(r#""😀""#).unwrap().as_str(), Some("😀"));
         assert!(JsonValue::parse(r#""\ud83d""#).is_err());
+    }
+
+    #[test]
+    fn multibyte_scalars_decode_by_width() {
+        for (text, width) in [("é", 2), ("€", 3), ("😀", 4)] {
+            assert_eq!(text.len(), width);
+            let line = format!("\"a{text}b{text}\"");
+            assert_eq!(
+                JsonValue::parse(&line).unwrap().as_str(),
+                Some(format!("a{text}b{text}").as_str())
+            );
+            // A string cut off right after the scalar is unterminated.
+            assert!(JsonValue::parse(&format!("\"{text}")).is_err());
+        }
+    }
+
+    #[test]
+    fn a_scalar_cut_off_by_end_of_input_is_an_error() {
+        for bytes in [&b"\"\xc3"[..], b"\"\xe2\x82", b"\"\xf0\x9f\x98"] {
+            let mut parser = Parser { bytes, position: 0 };
+            let error = parser.string().unwrap_err();
+            assert!(error.to_string().contains("invalid utf8"), "{error}");
+        }
+    }
+
+    #[test]
+    fn long_multibyte_strings_round_trip() {
+        // Linear decoding: a long string of mixed widths parses back exactly.
+        let alphabet = ['a', 'é', '€', '😀', '"', '\\', '\n'];
+        for length in [0usize, 1, 7, 1_000, 50_000] {
+            let text: String = (0..length)
+                .map(|i| alphabet[(i * 7 + i / 3) % alphabet.len()])
+                .collect();
+            let line = JsonValue::string(text.as_str()).to_line();
+            assert_eq!(
+                JsonValue::parse(&line).unwrap().as_str(),
+                Some(text.as_str())
+            );
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use metrics::{
 };
 pub use sched::{Dispatch, Entry, FairScheduler, HedgeConfig, LatencyTracker};
 pub use span::{
-    CriticalPath, PhaseId, Profile, Span, SpanDrain, SpanIds, SpanRecorder, SpanSink, SpanStamp,
+    CriticalPath, PhaseId, Profile, Span, SpanDrain, SpanIds, SpanRecorder, SpanSink,
     DEFAULT_SPAN_CAPACITY,
 };
 pub use trace::{

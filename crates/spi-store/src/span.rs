@@ -12,6 +12,11 @@
 //!   spans plus the ambient [`SpanIds`] context (job/shard/lease/tenant/
 //!   worker, the same ids the waitgraph uses) — so the hot path takes no
 //!   cross-thread lock until a span *completes* and lands in its ring;
+//! * stages that repeat once per variant are not recorded one span each:
+//!   the drain times them as *laps* ([`SpanSink::lap`], one clock read per
+//!   phase boundary) into per-phase tallies on the sink, which publish as
+//!   one aggregate span per phase and batch ([`Span::count`] occurrences
+//!   laid back to back), so the per-variant cost is the clock reads alone;
 //! * every completed [`Span`] carries its parent id, its static [`PhaseId`],
 //!   and the [`TraceCapture`](crate::trace::TraceCapture) sequence watermark
 //!   observed at enter and exit, so spans and scheduler decisions
@@ -51,15 +56,18 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 /// [`ALL`]: PhaseId::ALL
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PhaseId {
-    /// One whole shard drain: the worker's Gray-walk over its strided ranks.
+    /// One whole shard drain: the worker's Gray walk over its contiguous
+    /// rank range.
     DrainShard,
     /// An incremental flatten that **patched** the previous flat graph.
     FlattenPatch,
     /// A flatten that had to **rebuild** from the skeleton (first rank of a
     /// drain, post-error reset, or a patch fallback).
     FlattenRebuild,
-    /// Lowering a flat graph to the compiled synthesis form
-    /// (`compiled_from_flat_graph`).
+    /// Lowering a variant to the compiled synthesis form: from per-cluster
+    /// task blocks in a drain's evaluation session (lapped from the end of
+    /// the flatten, so it also covers decoding the choice and the lower
+    /// bound), or from a flat graph (`compiled_from_flat_graph`).
     CompileLower,
     /// The branch-and-bound partition search over a compiled graph.
     PartitionSearch,
@@ -141,7 +149,8 @@ impl SpanIds {
     }
 }
 
-/// One completed enter/exit pair.
+/// One completed enter/exit pair, or an aggregate of `count` lapped
+/// occurrences of one phase (see [`SpanSink::lap`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Global completion order across all workers (exit time order per
@@ -166,6 +175,11 @@ pub struct Span {
     pub trace_last: u64,
     /// Waitgraph-compatible attribution ids.
     pub ids: SpanIds,
+    /// How many occurrences of `phase` the span stands for: 1 for an
+    /// entered/exited span; for a published lap tally, the lapped
+    /// occurrences, laid back to back from the first one's start so that the
+    /// span's duration is their total.
+    pub count: u64,
 }
 
 impl Span {
@@ -190,6 +204,7 @@ impl Span {
             ("start_ns", JsonValue::Int(i128::from(self.start_ns))),
             ("end_ns", JsonValue::Int(i128::from(self.end_ns))),
             ("self_ns", JsonValue::Int(i128::from(self.self_ns()))),
+            ("count", JsonValue::Int(i128::from(self.count))),
             ("trace_first", JsonValue::Int(i128::from(self.trace_first))),
             ("trace_last", JsonValue::Int(i128::from(self.trace_last))),
             ("job", SpanIds::json_num(self.ids.job)),
@@ -278,7 +293,7 @@ impl SpanRecorder {
 
     /// Nanoseconds since the recorder's epoch, from the monotonic clock.
     pub fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        ns_between(self.epoch, Instant::now())
     }
 
     /// Links the scheduler trace's live sequence watermark (see
@@ -359,13 +374,17 @@ impl SpanRecorder {
     }
 }
 
-/// A `(monotonic ns, trace watermark)` pair taken by [`SpanSink::stamp`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanStamp {
-    /// Nanoseconds since the recorder's epoch.
-    pub ns: u64,
+/// Nanoseconds from `start` to `end` (zero if `end` is earlier).
+fn ns_between(start: Instant, end: Instant) -> u64 {
+    u64::try_from(end.saturating_duration_since(start).as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// A `(monotonic instant, trace watermark)` pair: one lap boundary.
+#[derive(Debug, Clone, Copy)]
+struct SpanStamp {
+    at: Instant,
     /// The scheduler-trace sequence watermark at stamp time.
-    pub trace_seq: u64,
+    trace_seq: u64,
 }
 
 #[derive(Debug)]
@@ -383,10 +402,27 @@ struct OpenSpan {
     child_ns: u64,
 }
 
+/// The lapped occurrences of one phase since the sink last published.
+#[derive(Debug)]
+struct Tally {
+    phase: PhaseId,
+    count: u64,
+    total_ns: u64,
+    first: SpanStamp,
+    last: SpanStamp,
+}
+
 #[derive(Debug, Default)]
 struct SinkState {
     context: SpanIds,
     stack: Vec<OpenSpan>,
+    /// Where the running lap started, once a chain is started.
+    lap: Option<SpanStamp>,
+    /// Open spans when the chain started: its tallies are children of the
+    /// innermost of them, even while an evaluator's own span nests deeper.
+    lap_depth: usize,
+    /// Unpublished lap tallies, in first-lapped order.
+    tallies: Vec<Tally>,
 }
 
 /// A single thread's recording handle: an open-span stack plus the ambient
@@ -459,53 +495,115 @@ impl SpanSink {
         self.finish(Some(phase));
     }
 
-    /// The recorder's monotonic clock and trace watermark right now — a
-    /// start/end pair for [`record_complete`](Self::record_complete). Zeros
-    /// on a disabled sink.
-    pub fn stamp(&self) -> SpanStamp {
-        match &self.shared {
-            Some(shared) => SpanStamp {
-                ns: shared.recorder.now_ns(),
-                trace_seq: shared.recorder.trace_watermark(),
-            },
-            None => SpanStamp::default(),
-        }
-    }
-
-    /// Records an externally-timed span of `phase` between two
-    /// [`stamp`](Self::stamp)s, as a child of the current top of the stack.
-    /// For stages whose borrow structure keeps the sink's enter/exit pair
-    /// out of reach (the delta flattener's patch-vs-rebuild classification
-    /// is only readable after the flattened graph borrow ends).
-    pub fn record_complete(&self, phase: PhaseId, start: SpanStamp, end: SpanStamp) {
+    /// Starts a chain of [`lap`](Self::lap)s at `at` — an instant the caller
+    /// has already read (a drain reads the clock once per variant anyway), so
+    /// starting a chain costs no clock read of its own.
+    pub fn lap_start(&self, at: Instant) {
         let Some(shared) = &self.shared else {
             return;
         };
         let mut state = self.state.borrow_mut();
-        let duration = end.ns.saturating_sub(start.ns);
-        let parent = state.stack.last_mut().map(|enclosing| {
-            enclosing.child_ns += duration;
-            enclosing.id
+        state.lap = Some(SpanStamp {
+            at,
+            trace_seq: shared.recorder.trace_watermark(),
         });
-        let span = Span {
-            seq: shared.recorder.next_seq.fetch_add(1, Ordering::Relaxed),
-            id: shared.recorder.next_id.fetch_add(1, Ordering::Relaxed),
-            parent,
-            phase,
-            start_ns: start.ns,
-            end_ns: end.ns,
-            child_ns: 0,
-            trace_first: start.trace_seq,
-            trace_last: end.trace_seq,
-            ids: state.context.clone(),
+        state.lap_depth = state.stack.len();
+    }
+
+    /// The last lap boundary (the latest [`lap`](Self::lap) or
+    /// [`lap_start`](Self::lap_start)) while a chain runs; `None` otherwise
+    /// and on a disabled sink. A caller that needs the time right after a lap
+    /// reads it here instead of reading the clock again.
+    pub fn lap_time(&self) -> Option<Instant> {
+        self.state.borrow().lap.map(|stamp| stamp.at)
+    }
+
+    /// Ends the running lap as one occurrence of `phase` and starts the next
+    /// lap at the same instant: one clock read per phase boundary. The
+    /// occurrence is added to the sink's tally of `phase` instead of being
+    /// recorded as a span of its own; tallies are published, as one
+    /// aggregate span per phase, by [`flush_tallies`](Self::flush_tallies) or
+    /// when the span the chain started under exits (spans entered and exited
+    /// between laps leave the chain alone). Without a started chain this only
+    /// starts one.
+    pub fn lap(&self, phase: PhaseId) {
+        let Some(shared) = &self.shared else {
+            return;
         };
-        drop(state);
-        let mut inner = shared.ring.inner.lock().expect("span ring lock");
-        if inner.ring.len() == shared.recorder.capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
+        let now = SpanStamp {
+            at: Instant::now(),
+            trace_seq: shared.recorder.trace_watermark(),
+        };
+        let mut state = self.state.borrow_mut();
+        if state.lap.is_none() {
+            state.lap_depth = state.stack.len();
         }
-        inner.ring.push_back(span);
+        if let Some(start) = state.lap.replace(now) {
+            let duration = ns_between(start.at, now.at);
+            match state.tallies.iter_mut().find(|tally| tally.phase == phase) {
+                Some(tally) => {
+                    tally.count += 1;
+                    tally.total_ns += duration;
+                    tally.last = now;
+                }
+                None => state.tallies.push(Tally {
+                    phase,
+                    count: 1,
+                    total_ns: duration,
+                    first: start,
+                    last: now,
+                }),
+            }
+        }
+    }
+
+    /// Publishes the lap tallies as children of the span the chain started
+    /// under: one span per phase carrying its occurrence [`count`](Span::count), laid
+    /// back to back from the earliest lap's start (each span's duration is its
+    /// phase's total), and ends the lap chain. A drain calls this once per
+    /// report batch, so a long drain's phases become readable as it goes.
+    pub fn flush_tallies(&self) {
+        if let Some(shared) = &self.shared {
+            Self::publish_tallies(shared, &mut self.state.borrow_mut());
+        }
+    }
+
+    fn publish_tallies(shared: &SinkShared, state: &mut SinkState) {
+        state.lap = None;
+        let Some(first) = state.tallies.iter().map(|tally| tally.first.at).min() else {
+            return;
+        };
+        let mut cursor = ns_between(shared.recorder.epoch, first);
+        let trace_last = state
+            .tallies
+            .iter()
+            .map(|tally| tally.last.trace_seq)
+            .max()
+            .unwrap_or(0);
+        for tally in std::mem::take(&mut state.tallies) {
+            let enclosing = state.lap_depth.checked_sub(1);
+            let parent = enclosing
+                .and_then(|at| state.stack.get_mut(at))
+                .map(|enclosing| {
+                    enclosing.child_ns += tally.total_ns;
+                    enclosing.id
+                });
+            let start_ns = cursor;
+            cursor += tally.total_ns;
+            shared.push(Span {
+                seq: shared.recorder.next_seq.fetch_add(1, Ordering::Relaxed),
+                id: shared.recorder.next_id.fetch_add(1, Ordering::Relaxed),
+                parent,
+                phase: tally.phase,
+                start_ns,
+                end_ns: cursor,
+                child_ns: 0,
+                trace_first: tally.first.trace_seq,
+                trace_last,
+                ids: state.context.clone(),
+                count: tally.count,
+            });
+        }
     }
 
     fn finish(&self, phase: Option<PhaseId>) {
@@ -513,6 +611,10 @@ impl SpanSink {
             return;
         };
         let mut state = self.state.borrow_mut();
+        if state.stack.len() <= state.lap_depth {
+            // The chain's enclosing span is closing: its laps go with it.
+            Self::publish_tallies(shared, &mut state);
+        }
         let Some(open) = state.stack.pop() else {
             debug_assert!(false, "span exit without a matching enter");
             return;
@@ -534,10 +636,19 @@ impl SpanSink {
             trace_first: open.trace_first,
             trace_last: shared.recorder.trace_watermark(),
             ids: state.context.clone(),
+            count: 1,
         };
         drop(state);
-        let mut inner = shared.ring.inner.lock().expect("span ring lock");
-        if inner.ring.len() == shared.recorder.capacity {
+        shared.push(span);
+    }
+}
+
+impl SinkShared {
+    /// Appends a completed span to the worker's ring, dropping the oldest
+    /// span when the ring is full.
+    fn push(&self, span: Span) {
+        let mut inner = self.ring.inner.lock().expect("span ring lock");
+        if inner.ring.len() == self.recorder.capacity {
             inner.ring.pop_front();
             inner.dropped += 1;
         }
@@ -550,13 +661,15 @@ impl SpanSink {
 pub struct PhaseProfile {
     /// The phase.
     pub phase: PhaseId,
-    /// Completed spans of this phase.
+    /// Occurrences of this phase: one per span, [`Span::count`] per
+    /// aggregate span.
     pub count: u64,
     /// Summed wall-clock duration.
     pub total_ns: u64,
     /// Summed self time (duration minus direct children).
     pub self_ns: u64,
-    /// Log-linear histogram of span durations (bounded ~3% quantile error).
+    /// Log-linear histogram of span durations (bounded ~3% quantile error;
+    /// an aggregate span contributes its occurrences at their mean).
     pub histogram: Histogram,
 }
 
@@ -660,10 +773,13 @@ impl Profile {
                 self_ns: 0,
                 histogram: Histogram::new(),
             });
-            entry.count += 1;
+            entry.count += span.count;
             entry.total_ns += span.duration_ns();
             entry.self_ns += span.self_ns();
-            entry.histogram.record(span.duration_ns());
+            // An aggregate contributes its occurrences at their mean.
+            entry
+                .histogram
+                .record_n(span.duration_ns() / span.count.max(1), span.count);
         }
         let phases = PhaseId::ALL
             .into_iter()
@@ -851,6 +967,7 @@ pub fn chrome_trace(spans: &[Span]) -> JsonValue {
         let args = JsonValue::object([
             ("span", JsonValue::Int(i128::from(span.id))),
             ("parent", SpanIds::json_num(span.parent)),
+            ("count", JsonValue::Int(i128::from(span.count))),
             (
                 "job",
                 span.ids.job.map_or(JsonValue::Null, |job| {
@@ -913,6 +1030,90 @@ mod tests {
 
     fn recorder(capacity: usize) -> Arc<SpanRecorder> {
         Arc::new(SpanRecorder::new(capacity))
+    }
+
+    #[test]
+    fn laps_publish_one_aggregate_per_phase_under_the_enclosing_span() {
+        let recorder = recorder(64);
+        let sink = recorder.sink("w0");
+        sink.enter(PhaseId::DrainShard);
+        // Without a started chain a lap only starts one.
+        sink.lap(PhaseId::CompileLower);
+        sink.flush_tallies();
+        assert!(recorder.spans().is_empty());
+        for _ in 0..3 {
+            sink.lap_start(Instant::now());
+            sink.lap(PhaseId::FlattenPatch);
+            sink.lap(PhaseId::CompileLower);
+            sink.lap(PhaseId::PartitionSearch);
+        }
+        sink.lap_start(Instant::now());
+        sink.lap(PhaseId::FlattenRebuild);
+        sink.exit();
+
+        let spans = recorder.spans();
+        let phases: Vec<(PhaseId, u64)> = spans.iter().map(|s| (s.phase, s.count)).collect();
+        assert_eq!(
+            phases,
+            [
+                (PhaseId::FlattenPatch, 3),
+                (PhaseId::CompileLower, 3),
+                (PhaseId::PartitionSearch, 3),
+                (PhaseId::FlattenRebuild, 1),
+                (PhaseId::DrainShard, 1),
+            ]
+        );
+        let (aggregates, drain) = spans.split_at(4);
+        let drain = &drain[0];
+        for pair in aggregates.windows(2) {
+            assert_eq!(pair[0].end_ns, pair[1].start_ns, "laid back to back");
+        }
+        assert!(aggregates[0].start_ns >= drain.start_ns);
+        assert!(aggregates[3].end_ns <= drain.end_ns);
+        assert!(aggregates.iter().all(|s| s.parent == Some(drain.id)));
+        let lapped: u64 = aggregates.iter().map(Span::duration_ns).sum();
+        assert_eq!(drain.child_ns, lapped);
+
+        let profile = Profile::from_spans(&spans, 0);
+        let search = profile
+            .phases
+            .iter()
+            .find(|p| p.phase == PhaseId::PartitionSearch)
+            .unwrap();
+        assert_eq!((search.count, search.histogram.count()), (3, 3));
+    }
+
+    #[test]
+    fn spans_nested_between_laps_leave_the_chain_alone() {
+        let recorder = recorder(64);
+        let sink = recorder.sink("w0");
+        sink.enter(PhaseId::DrainShard);
+        sink.lap_start(Instant::now());
+        sink.lap(PhaseId::FlattenPatch);
+        sink.enter(PhaseId::CompileLower);
+        sink.exit();
+        sink.lap(PhaseId::FlattenPatch);
+        assert_eq!(recorder.spans().len(), 1, "only the nested span so far");
+        sink.exit();
+
+        let spans = recorder.spans();
+        let drain = spans.last().unwrap();
+        assert_eq!(drain.phase, PhaseId::DrainShard);
+        let flatten = spans
+            .iter()
+            .find(|s| s.phase == PhaseId::FlattenPatch)
+            .unwrap();
+        assert_eq!((flatten.count, flatten.parent), (2, Some(drain.id)));
+        assert_eq!(spans[0].parent, Some(drain.id));
+    }
+
+    #[test]
+    fn disabled_sinks_ignore_laps() {
+        let sink = SpanSink::disabled();
+        sink.lap_start(Instant::now());
+        sink.lap(PhaseId::FlattenPatch);
+        sink.flush_tallies();
+        assert_eq!(sink.depth(), 0);
     }
 
     #[test]
@@ -1135,6 +1336,7 @@ mod tests {
                 tenant: None,
                 worker: None,
             },
+            count: 1,
         }
     }
 

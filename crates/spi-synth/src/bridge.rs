@@ -188,21 +188,22 @@ pub fn compiled_from_flat_graph(
 
 /// The schedulable-capacity default of [`SynthesisProblem::new`], which the direct
 /// compiled path must match for bit-identical results.
-const DEFAULT_CAPACITY_PERMILLE: u64 = 1000;
+pub(crate) const DEFAULT_CAPACITY_PERMILLE: u64 = 1000;
 
-/// Sweeps one strided shard of a flattener's variant space through the compiled
-/// per-variant path, **incrementally**: the shard's combinations are visited in
-/// Gray-code order through a [`spi_variants::DeltaFlattener`], so each flat graph is
-/// a patch of the previous one instead of a from-scratch rebuild, and each is lowered
-/// with [`compiled_from_flat_graph`] and handed to `visit` together with its
-/// **canonical** combination index (the same index [`from_variant_system`] numbers
-/// applications by, so results correlate across paths and shards).
+/// Sweeps one shard of a flattener's variant space through the compiled
+/// per-variant path, **incrementally**: the shard owns the contiguous Gray-rank
+/// range [`VariantSpace::shard_ranks`](spi_variants::VariantSpace::shard_ranks) — the
+/// same shards the exploration service drains — and visits it in rank order through a
+/// [`spi_variants::DeltaFlattener`], so each flat graph patches one cluster of the
+/// previous one instead of being rebuilt, and each is lowered with
+/// [`compiled_from_flat_graph`] and handed to `visit` together with its **canonical**
+/// combination index (the same index [`from_variant_system`] numbers applications by,
+/// so results correlate across paths and shards).
 ///
-/// Visit order differs from [`from_variant_system_shard`] — Gray order is a
-/// permutation of the space — but the set of indices visited by shard `s` is exactly
-/// the image of the Gray ranks `r ≡ s (mod shard_count)`, so the union over all
-/// shards still covers every combination exactly once. Returns the number of
-/// combinations visited.
+/// The shard's index set differs from [`from_variant_system_shard`]'s — it is the
+/// image of its Gray ranks — but the ranges of all shards tile the Gray walk, a
+/// permutation of the space, so the union over all shards still covers every
+/// combination exactly once. Returns the number of combinations visited.
 ///
 /// # Errors
 ///
@@ -222,16 +223,13 @@ pub fn compiled_shard_sweep(
             "invalid shard {shard}/{shard_count}"
         )));
     }
-    let combinations = flattener.space().count();
     let mut delta = spi_variants::DeltaFlattener::new(flattener);
-    let mut visited = 0usize;
-    let mut rank = shard;
-    while rank < combinations {
+    let ranks = flattener.space().shard_ranks(shard, shard_count);
+    let visited = ranks.len();
+    for rank in ranks {
         let (index, graph) = delta.flatten_gray_rank(rank)?;
         let compiled = compiled_from_flat_graph(graph, processor_cost, &mut params)?;
         visit(index, &compiled)?;
-        visited += 1;
-        rank += shard_count;
     }
     Ok(visited)
 }

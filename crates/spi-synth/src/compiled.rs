@@ -22,6 +22,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::cost::CostBreakdown;
 use crate::error::SynthError;
@@ -57,28 +58,52 @@ impl fmt::Display for TaskId {
 /// Tasks are numbered `0..task_count()` in name order; applications keep their
 /// insertion order. All data needed by the searches — utilizations, hardware areas,
 /// application membership (as index lists *and*, for up to 64 tasks, as bitmasks) and
-/// the reverse `task → applications` adjacency — lives in flat `Vec`s.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// the reverse `task → applications` adjacency — lives in flat `Vec`s. Task names are
+/// rows of a shared name table, so a problem can be re-lowered over the same table
+/// (see [`crate::BlockLowering`]) without touching a `String`; equality compares
+/// the task names, not the table they are drawn from.
+#[derive(Debug, Clone)]
 pub struct CompiledProblem {
-    names: Vec<String>,
-    utilization: Vec<u64>,
-    hw_area: Vec<u64>,
-    app_names: Vec<String>,
+    /// The name table task names are drawn from.
+    pub(crate) name_table: Arc<[String]>,
+    /// Row of `name_table` holding each task's name, indexed by task id.
+    pub(crate) name_rows: Vec<u32>,
+    pub(crate) utilization: Vec<u64>,
+    pub(crate) hw_area: Vec<u64>,
+    pub(crate) app_names: Vec<String>,
     /// Member tasks of each application, in the application's task order. Duplicate
     /// entries are preserved: `schedule::check` counts a task listed twice twice.
-    app_tasks: Vec<Vec<TaskId>>,
+    pub(crate) app_tasks: Vec<Vec<TaskId>>,
     /// For each task: the applications it occurs in, one entry per occurrence.
-    apps_of_task: Vec<Vec<u32>>,
+    pub(crate) apps_of_task: Vec<Vec<u32>>,
     /// Bitmask membership per application (bit `i` = task `i` is a member). Only
     /// meaningful when `mask_ready` is set.
-    membership_mask: Vec<u64>,
+    pub(crate) membership_mask: Vec<u64>,
     /// True when the bitmask fast path is valid: fewer than 64 tasks and no
     /// application lists the same task twice.
-    mask_ready: bool,
-    total_utilization: u64,
-    processor_cost: u64,
-    capacity_permille: u64,
+    pub(crate) mask_ready: bool,
+    pub(crate) total_utilization: u64,
+    pub(crate) processor_cost: u64,
+    pub(crate) capacity_permille: u64,
 }
+
+impl PartialEq for CompiledProblem {
+    fn eq(&self, other: &CompiledProblem) -> bool {
+        self.names().eq(other.names())
+            && self.utilization == other.utilization
+            && self.hw_area == other.hw_area
+            && self.app_names == other.app_names
+            && self.app_tasks == other.app_tasks
+            && self.apps_of_task == other.apps_of_task
+            && self.mask_ready == other.mask_ready
+            && (!self.mask_ready || self.membership_mask == other.membership_mask)
+            && self.total_utilization == other.total_utilization
+            && self.processor_cost == other.processor_cost
+            && self.capacity_permille == other.capacity_permille
+    }
+}
+
+impl Eq for CompiledProblem {}
 
 impl CompiledProblem {
     /// Lowers a problem into dense indices.
@@ -133,7 +158,8 @@ impl CompiledProblem {
 
         Ok(CompiledProblem {
             total_utilization: utilization.iter().sum(),
-            names,
+            name_rows: (0..n as u32).collect(),
+            name_table: names.into(),
             utilization,
             hw_area,
             app_names,
@@ -211,7 +237,8 @@ impl CompiledProblem {
 
         Ok(CompiledProblem {
             total_utilization: utilization.iter().sum(),
-            names,
+            name_rows: (0..n as u32).collect(),
+            name_table: names.into(),
             utilization,
             hw_area,
             app_names: vec![application],
@@ -226,7 +253,7 @@ impl CompiledProblem {
 
     /// Number of tasks.
     pub fn task_count(&self) -> usize {
-        self.names.len()
+        self.name_rows.len()
     }
 
     /// Number of applications.
@@ -240,20 +267,22 @@ impl CompiledProblem {
     }
 
     /// Task names in id order.
-    pub fn names(&self) -> &[String] {
-        &self.names
+    pub fn names(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.name_rows
+            .iter()
+            .map(|&row| self.name_table[row as usize].as_str())
     }
 
     /// Name of one task.
     pub fn name_of(&self, task: TaskId) -> &str {
-        &self.names[task.index()]
+        &self.name_table[self.name_rows[task.index()] as usize]
     }
 
     /// Looks up the id of a task by name.
     pub fn task_id(&self, name: &str) -> Option<TaskId> {
         // Names are in sorted (BTreeMap) order, so a binary search suffices.
-        self.names
-            .binary_search_by(|candidate| candidate.as_str().cmp(name))
+        self.name_rows
+            .binary_search_by(|&row| self.name_table[row as usize].as_str().cmp(name))
             .ok()
             .map(|index| TaskId(index as u32))
     }
@@ -298,23 +327,23 @@ impl CompiledProblem {
         // silently produce an empty mask in release) and every mask-based query
         // would return garbage. The cost is one predictable branch per call.
         assert!(
-            self.names.len() < 64,
+            self.task_count() < 64,
             "mask queries need fewer than 64 tasks"
         );
-        (1u64 << self.names.len()) - 1
+        (1u64 << self.task_count()) - 1
     }
 
     /// Shared mapping builder: `is_hardware` answers "is task `i` in hardware?" for
     /// whichever representation the caller holds (mask bit or evaluator state).
     fn build_mapping(&self, is_hardware: impl Fn(usize) -> bool) -> Mapping {
         let mut mapping = Mapping::new();
-        for (index, name) in self.names.iter().enumerate() {
+        for (index, name) in self.names().enumerate() {
             let implementation = if is_hardware(index) {
                 Implementation::Hardware
             } else {
                 Implementation::Software
             };
-            mapping.assign(name.clone(), implementation);
+            mapping.assign(name.to_string(), implementation);
         }
         mapping
     }
@@ -323,12 +352,12 @@ impl CompiledProblem {
     /// complete assignment described by `is_hardware`.
     fn build_cost_breakdown(&self, is_hardware: impl Fn(usize) -> bool) -> CostBreakdown {
         let mut breakdown = CostBreakdown::default();
-        for (index, name) in self.names.iter().enumerate() {
+        for (index, name) in self.names().enumerate() {
             if is_hardware(index) {
-                breakdown.hardware_tasks.push(name.clone());
+                breakdown.hardware_tasks.push(name.to_string());
                 breakdown.hardware_cost += self.hw_area[index];
             } else {
-                breakdown.software_tasks.push(name.clone());
+                breakdown.software_tasks.push(name.to_string());
             }
         }
         if !breakdown.software_tasks.is_empty() {
@@ -369,6 +398,34 @@ impl CompiledProblem {
         }
     }
 
+    /// Mapping, cost breakdown and feasibility report of the complete assignment
+    /// `is_hardware` describes (task index → "is in hardware?"), bit-identical to the
+    /// `*_of_mask` queries and to [`IncrementalEvaluator`]'s reports for the same
+    /// assignment, at any task count.
+    pub(crate) fn materialize(
+        &self,
+        mode: FeasibilityMode,
+        is_hardware: impl Fn(usize) -> bool,
+    ) -> (Mapping, CostBreakdown, FeasibilityReport) {
+        let software_load = |tasks: &mut dyn Iterator<Item = usize>| -> u64 {
+            tasks
+                .filter(|&task| !is_hardware(task))
+                .map(|task| self.utilization[task])
+                .sum()
+        };
+        let serialized = software_load(&mut (0..self.task_count()));
+        let report = self.build_feasibility_report(
+            mode,
+            |app| software_load(&mut self.app_tasks[app].iter().map(|task| task.index())),
+            serialized,
+        );
+        (
+            self.build_mapping(&is_hardware),
+            self.build_cost_breakdown(&is_hardware),
+            report,
+        )
+    }
+
     /// Materializes the mapping encoded by `mask` (bit `i` set = task `i` in
     /// hardware).
     ///
@@ -377,7 +434,7 @@ impl CompiledProblem {
     /// Panics if the problem has 64 tasks or more.
     pub fn mapping_of_mask(&self, mask: u64) -> Mapping {
         assert!(
-            self.names.len() < 64,
+            self.task_count() < 64,
             "mask mappings need fewer than 64 tasks"
         );
         self.build_mapping(|index| mask & (1u64 << index) != 0)
@@ -390,11 +447,11 @@ impl CompiledProblem {
     /// Returns [`SynthError::Validation`] if a task has no decision.
     pub fn mask_of_mapping(&self, mapping: &Mapping) -> Result<u64> {
         assert!(
-            self.names.len() < 64,
+            self.task_count() < 64,
             "mask mappings need fewer than 64 tasks"
         );
         let mut mask = 0u64;
-        for (index, name) in self.names.iter().enumerate() {
+        for (index, name) in self.names().enumerate() {
             match mapping.implementation(name) {
                 Some(Implementation::Hardware) => mask |= 1u64 << index,
                 Some(Implementation::Software) => {}
@@ -416,7 +473,7 @@ impl CompiledProblem {
     /// a `u64` mask cannot address them.
     pub fn application_load_of_mask(&self, application: usize, mask: u64) -> u64 {
         assert!(
-            self.names.len() < 64,
+            self.task_count() < 64,
             "mask queries need fewer than 64 tasks"
         );
         if self.mask_ready {
@@ -547,7 +604,8 @@ impl<'p> IncrementalEvaluator<'p> {
             serialized_load: problem.total_utilization,
             hardware_area: 0,
             software_count: problem.task_count(),
-            trail: Vec::new(),
+            // A search never stacks more decisions than there are tasks.
+            trail: Vec::with_capacity(problem.task_count() + 1),
             problem,
         }
     }
@@ -562,7 +620,7 @@ impl<'p> IncrementalEvaluator<'p> {
             serialized_load: 0,
             hardware_area: problem.hw_area.iter().sum(),
             software_count: 0,
-            trail: Vec::new(),
+            trail: Vec::with_capacity(problem.task_count() + 1),
             problem,
         }
     }
@@ -575,6 +633,11 @@ impl<'p> IncrementalEvaluator<'p> {
     /// Current implementation of a task.
     pub fn implementation(&self, task: TaskId) -> Implementation {
         self.implementations[task.index()]
+    }
+
+    /// Current implementation of every task, indexed by task id.
+    pub fn implementations(&self) -> &[Implementation] {
+        &self.implementations
     }
 
     /// Assigns `implementation` to `task`, recording the previous choice for
@@ -727,10 +790,8 @@ mod tests {
         assert_eq!(compiled.task_count(), 4);
         assert_eq!(compiled.application_count(), 2);
         assert_eq!(
-            compiled.names(),
+            compiled.names().collect::<Vec<_>>(),
             ["PA", "PB", "cluster1", "cluster2"]
-                .map(String::from)
-                .as_slice()
         );
         assert_eq!(compiled.task_id("cluster1"), Some(TaskId(2)));
         assert_eq!(compiled.task_id("ghost"), None);

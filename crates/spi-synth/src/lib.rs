@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
+pub mod blocks;
 pub mod bridge;
 pub mod compiled;
 pub mod cost;
@@ -40,6 +41,7 @@ pub mod report;
 pub mod schedule;
 pub mod strategy;
 
+pub use blocks::BlockLowering;
 pub use bridge::{
     compiled_from_flat_graph, compiled_shard_sweep, from_flat_graph, from_variant_system,
     from_variant_system_shard, TaskParams,

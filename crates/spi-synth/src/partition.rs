@@ -140,6 +140,79 @@ pub fn optimize_compiled(
     mode: FeasibilityMode,
     strategy: SearchStrategy,
 ) -> Result<PartitionResult> {
+    Ok(search_compiled(compiled, mode, strategy)?.materialize(compiled, mode))
+}
+
+/// The winner of a partition search before materialization: which tasks the
+/// cheapest feasible mapping puts into hardware, and its total cost.
+///
+/// A search only tracks masks (or, for greedy, per-task implementations) and
+/// totals; the `String`-per-task [`Mapping`], [`CostBreakdown`] and
+/// [`FeasibilityReport`] of a [`PartitionResult`] are built by
+/// [`materialize`](Self::materialize), so a caller that only needs the cost —
+/// or renders its own summary through [`is_hardware`](Self::is_hardware) —
+/// never pays for them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SearchOutcome {
+    /// Total implementation cost of the winning mapping.
+    pub total: u64,
+    /// As [`PartitionResult::evaluated_candidates`].
+    pub evaluated_candidates: u64,
+    /// As [`PartitionResult::pruned_candidates`].
+    pub pruned_candidates: u64,
+    hardware: HardwareSet,
+}
+
+/// The winning assignment in the cheapest form the search had it in.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum HardwareSet {
+    /// Bit `i` set = task `i` in hardware (problems of fewer than 64 tasks).
+    Mask(u64),
+    /// Per-task implementations (greedy results at 64 tasks or more).
+    Implementations(Vec<Implementation>),
+}
+
+impl SearchOutcome {
+    /// Whether the winning mapping puts `task` into hardware.
+    pub fn is_hardware(&self, task: TaskId) -> bool {
+        match &self.hardware {
+            HardwareSet::Mask(mask) => mask & (1u64 << task.index()) != 0,
+            HardwareSet::Implementations(implementations) => {
+                implementations[task.index()] == Implementation::Hardware
+            }
+        }
+    }
+
+    /// Builds the full [`PartitionResult`] of the winner over the problem it was
+    /// searched on — bit-identical to what [`optimize_compiled`] returns.
+    pub fn materialize(
+        &self,
+        compiled: &CompiledProblem,
+        mode: FeasibilityMode,
+    ) -> PartitionResult {
+        let (mapping, cost, feasibility) =
+            compiled.materialize(mode, |task| self.is_hardware(TaskId(task as u32)));
+        PartitionResult {
+            mapping,
+            cost,
+            feasibility,
+            evaluated_candidates: self.evaluated_candidates,
+            pruned_candidates: self.pruned_candidates,
+        }
+    }
+}
+
+/// [`optimize_compiled`] without the materialization: the search alone, returning
+/// the winner's total and assignment (see [`SearchOutcome`]).
+///
+/// # Errors
+///
+/// As [`optimize_compiled`].
+pub fn search_compiled(
+    compiled: &CompiledProblem,
+    mode: FeasibilityMode,
+    strategy: SearchStrategy,
+) -> Result<SearchOutcome> {
     // The same preconditions `optimize` enforces via `problem.validate()`,
     // so the two entry points accept and reject identical inputs.
     if compiled.application_count() == 0 {
@@ -154,14 +227,14 @@ pub fn optimize_compiled(
         }
     }
     match strategy {
-        SearchStrategy::Exhaustive => optimize_exhaustive(compiled, mode),
-        SearchStrategy::BranchAndBound => optimize_branch_and_bound(compiled, mode),
-        SearchStrategy::Greedy => optimize_greedy(compiled, mode),
+        SearchStrategy::Exhaustive => search_exhaustive(compiled, mode),
+        SearchStrategy::BranchAndBound => search_branch_and_bound(compiled, mode),
+        SearchStrategy::Greedy => search_greedy(compiled, mode),
         SearchStrategy::Auto => {
             if compiled.task_count() <= EXHAUSTIVE_LIMIT {
-                optimize_exhaustive(compiled, mode)
+                search_exhaustive(compiled, mode)
             } else {
-                optimize_greedy(compiled, mode)
+                search_greedy(compiled, mode)
             }
         }
     }
@@ -235,20 +308,16 @@ fn search_chunk(
     outcome
 }
 
-fn materialize(
-    compiled: &CompiledProblem,
-    mode: FeasibilityMode,
-    outcome: WorkerOutcome,
-) -> Result<PartitionResult> {
-    let (_, mask) = outcome.best.ok_or_else(|| {
+/// The reduced outcome of an exact search as its winner.
+fn winner(outcome: WorkerOutcome) -> Result<SearchOutcome> {
+    let ((total, _, _), mask) = outcome.best.ok_or_else(|| {
         SynthError::Infeasible("no mapping satisfies the schedulability constraints".to_string())
     })?;
-    Ok(PartitionResult {
-        mapping: compiled.mapping_of_mask(mask),
-        cost: compiled.cost_breakdown_of_mask(mask),
-        feasibility: compiled.feasibility_report_of_mask(mask, mode),
+    Ok(SearchOutcome {
+        total,
         evaluated_candidates: outcome.evaluated,
         pruned_candidates: outcome.pruned,
+        hardware: HardwareSet::Mask(mask),
     })
 }
 
@@ -268,10 +337,7 @@ fn reduce_outcomes(outcomes: impl IntoIterator<Item = WorkerOutcome>) -> WorkerO
     reduced
 }
 
-fn optimize_exhaustive(
-    compiled: &CompiledProblem,
-    mode: FeasibilityMode,
-) -> Result<PartitionResult> {
+fn search_exhaustive(compiled: &CompiledProblem, mode: FeasibilityMode) -> Result<SearchOutcome> {
     let n = compiled.task_count();
     assert!(
         n < 64,
@@ -312,7 +378,7 @@ fn optimize_exhaustive(
             .collect()
     };
 
-    materialize(compiled, mode, reduce_outcomes(outcomes))
+    winner(reduce_outcomes(outcomes))
 }
 
 /// One worker's depth-first walk over (a set of subtrees of) the decision tree.
@@ -454,10 +520,10 @@ impl<'p> BnbWorker<'p> {
     }
 }
 
-fn optimize_branch_and_bound(
+fn search_branch_and_bound(
     compiled: &CompiledProblem,
     mode: FeasibilityMode,
-) -> Result<PartitionResult> {
+) -> Result<SearchOutcome> {
     let n = compiled.task_count();
     assert!(
         n < 64,
@@ -517,7 +583,7 @@ fn optimize_branch_and_bound(
         )
     };
 
-    materialize(compiled, mode, outcome)
+    winner(outcome)
 }
 
 /// The historical single-threaded, prune-free, string-keyed scan, kept as the oracle
@@ -590,31 +656,48 @@ pub fn optimize_serial_reference(
     Ok(result)
 }
 
-fn optimize_greedy(compiled: &CompiledProblem, mode: FeasibilityMode) -> Result<PartitionResult> {
+/// The greedy repair move among `candidates`: the software task with the highest
+/// utilization relief per unit of hardware cost, `relief[task]` (the last such task
+/// on a tie).
+fn best_repair_move(
+    evaluator: &IncrementalEvaluator<'_>,
+    relief: &[u64],
+    candidates: impl Iterator<Item = TaskId>,
+) -> Option<TaskId> {
+    candidates
+        .filter(|&task| evaluator.implementation(task) == Implementation::Software)
+        .max_by_key(|&task| relief[task.index()])
+}
+
+fn search_greedy(compiled: &CompiledProblem, mode: FeasibilityMode) -> Result<SearchOutcome> {
     let n = compiled.task_count();
     let mut evaluator = IncrementalEvaluator::new(compiled);
     let mut evaluated = 1u64;
+    // Utilization relief per unit of hardware cost, scaled to keep integer
+    // arithmetic meaningful; divided once per task, not once per repair step.
+    let relief: Vec<u64> = compiled
+        .utilizations()
+        .iter()
+        .zip(compiled.hardware_areas())
+        .map(|(&utilization, &area)| utilization * 1000 / area.max(1))
+        .collect();
 
     // Repair: while some application overloads the processor, move the software task
     // with the highest utilization-per-area ratio (among tasks of overloaded
     // applications) to hardware.
     while !evaluator.feasible(mode) {
-        let candidates: Vec<TaskId> = match mode {
-            FeasibilityMode::Serialized => (0..n as u32).map(TaskId).collect(),
-            FeasibilityMode::PerApplication => (0..compiled.application_count())
-                .filter(|&app| evaluator.load_permille(app) > compiled.capacity_permille())
-                .flat_map(|app| compiled.application_tasks(app).iter().copied())
-                .collect(),
+        let best_move = match mode {
+            FeasibilityMode::Serialized => {
+                best_repair_move(&evaluator, &relief, (0..n as u32).map(TaskId))
+            }
+            FeasibilityMode::PerApplication => best_repair_move(
+                &evaluator,
+                &relief,
+                (0..compiled.application_count())
+                    .filter(|&app| evaluator.load_permille(app) > compiled.capacity_permille())
+                    .flat_map(|app| compiled.application_tasks(app).iter().copied()),
+            ),
         };
-        let best_move = candidates
-            .into_iter()
-            .filter(|&task| evaluator.implementation(task) == Implementation::Software)
-            .max_by_key(|&task| {
-                // Highest utilization relief per unit of hardware cost; scaled to keep
-                // integer arithmetic meaningful.
-                compiled.utilizations()[task.index()] * 1000
-                    / compiled.hardware_areas()[task.index()].max(1)
-            });
         let Some(task) = best_move else {
             return Err(SynthError::Infeasible(
                 "processor overloaded but no software task left to move".to_string(),
@@ -646,12 +729,20 @@ fn optimize_greedy(compiled: &CompiledProblem, mode: FeasibilityMode) -> Result<
         }
     }
 
-    Ok(PartitionResult {
-        mapping: evaluator.mapping(),
-        cost: evaluator.cost_breakdown(),
-        feasibility: evaluator.feasibility_report(mode),
+    let hardware = if n < 64 {
+        HardwareSet::Mask(
+            (0..n)
+                .filter(|&task| evaluator.implementations()[task] == Implementation::Hardware)
+                .fold(0u64, |mask, task| mask | 1u64 << task),
+        )
+    } else {
+        HardwareSet::Implementations(evaluator.implementations().to_vec())
+    };
+    Ok(SearchOutcome {
+        total: evaluator.total_cost(),
         evaluated_candidates: evaluated,
         pruned_candidates: 0,
+        hardware,
     })
 }
 
@@ -803,12 +894,12 @@ mod tests {
         for mode in [FeasibilityMode::PerApplication, FeasibilityMode::Serialized] {
             let serial = optimize_serial_reference(&problem, mode).unwrap();
             let compiled = CompiledProblem::compile(&problem).unwrap();
-            let parallel = optimize_exhaustive(&compiled, mode).unwrap();
+            let parallel = optimize_compiled(&compiled, mode, SearchStrategy::Exhaustive).unwrap();
             assert_eq!(parallel.mapping, serial.mapping);
             assert_eq!(parallel.cost, serial.cost);
             assert_eq!(parallel.feasibility, serial.feasibility);
             assert_eq!(parallel.evaluated_candidates, serial.evaluated_candidates);
-            let bnb = optimize_branch_and_bound(&compiled, mode).unwrap();
+            let bnb = optimize_compiled(&compiled, mode, SearchStrategy::BranchAndBound).unwrap();
             assert_eq!(bnb.mapping, serial.mapping);
             assert_eq!(bnb.cost, serial.cost);
             assert_eq!(bnb.feasibility, serial.feasibility);
@@ -849,7 +940,12 @@ mod tests {
     fn parallel_exhaustive_matches_serial_on_a_chunked_space() {
         let problem = chunked_problem();
         let compiled = CompiledProblem::compile(&problem).unwrap();
-        let parallel = optimize_exhaustive(&compiled, FeasibilityMode::PerApplication).unwrap();
+        let parallel = optimize_compiled(
+            &compiled,
+            FeasibilityMode::PerApplication,
+            SearchStrategy::Exhaustive,
+        )
+        .unwrap();
         let serial = optimize_serial_reference(&problem, FeasibilityMode::PerApplication).unwrap();
         assert_eq!(parallel.mapping, serial.mapping);
         assert_eq!(parallel.cost.total(), serial.cost.total());
@@ -866,9 +962,14 @@ mod tests {
         let n = problem.task_count() as u64;
         let serial = optimize_serial_reference(&problem, FeasibilityMode::PerApplication).unwrap();
         let compiled = CompiledProblem::compile(&problem).unwrap();
-        let exhaustive = optimize_exhaustive(&compiled, FeasibilityMode::PerApplication).unwrap();
-        let bnb = optimize_branch_and_bound(&compiled, FeasibilityMode::PerApplication).unwrap();
-        let greedy = optimize_greedy(&compiled, FeasibilityMode::PerApplication).unwrap();
+        let [exhaustive, bnb, greedy] = [
+            SearchStrategy::Exhaustive,
+            SearchStrategy::BranchAndBound,
+            SearchStrategy::Greedy,
+        ]
+        .map(|strategy| {
+            optimize_compiled(&compiled, FeasibilityMode::PerApplication, strategy).unwrap()
+        });
 
         // Exhaustive: every mask is a candidate; pruning is a subset of enumeration.
         assert_eq!(exhaustive.evaluated_candidates, 1 << n);

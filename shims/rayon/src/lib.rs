@@ -8,12 +8,16 @@
 //! thread instead of queueing onto a work-stealing pool — callers in this
 //! workspace spawn one task per hardware thread, for which that is equivalent.
 
+use std::sync::OnceLock;
 use std::thread;
 
 /// Number of threads worth fanning out to (the real rayon reports its pool
-/// size; this shim reports [`std::thread::available_parallelism`]).
+/// size; this shim reports [`std::thread::available_parallelism`]). Read once
+/// and cached, like the real pool's size: the query reads cgroup files on
+/// every call, which costs tens of microseconds.
 pub fn current_num_threads() -> usize {
-    thread::available_parallelism().map_or(1, |n| n.get())
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// A scope in which borrowed-data tasks can be spawned; see [`scope`].
